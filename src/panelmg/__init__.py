@@ -33,17 +33,6 @@ from .estimators import (
     SlopeEstimates,
     compute_ridge_kappa,
     estimate,
-    estimate_standard_mg,
-    estimate_tw_mg,
-    estimate_tw_mg_ridge,
-    estimate_tw_pooled,
-)
-from .gram import (
-    BlockLowRankGram,
-    GramFactorization,
-    build_gram,
-    factorize,
-    solve,
 )
 from .inference import (
     ConfidenceInterval,
@@ -84,20 +73,10 @@ __all__ = [
     "validate_panel",
     "double_demean",
     "read_csv",
-    # gram
-    "BlockLowRankGram",
-    "GramFactorization",
-    "build_gram",
-    "factorize",
-    "solve",
     # estimators
     "Method",
     "SlopeEstimates",
     "estimate",
-    "estimate_tw_mg",
-    "estimate_tw_mg_ridge",
-    "estimate_tw_pooled",
-    "estimate_standard_mg",
     "compute_ridge_kappa",
     # inference
     "JackknifeCovariance",

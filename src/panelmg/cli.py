@@ -63,7 +63,7 @@ def _parse_estimators(text: str) -> list[Method]:
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
-    threads = getattr(args, "threads", None)
+    threads = args.threads
     if threads is None:
         env = os.environ.get("PANELMG_THREADS", "").strip()
         if env:
@@ -101,7 +101,6 @@ def _build_parser() -> _Parser:
     )
     est.add_argument("--format", choices=("json", "csv", "table"), default="json")
     est.add_argument("--output", default=None, help="write report here instead of stdout")
-    est.add_argument("--threads", type=int, default=None)
     est.set_defaults(func=cmd_estimate)
 
     tst = sub.add_parser("test", help="slope-homogeneity test on a CSV panel")
@@ -111,7 +110,6 @@ def _build_parser() -> _Parser:
     )
     tst.add_argument("--format", choices=("json", "csv", "table"), default="json")
     tst.add_argument("--output", default=None)
-    tst.add_argument("--threads", type=int, default=None)
     tst.set_defaults(func=cmd_test)
 
     sim = sub.add_parser("simulate", help="Monte Carlo over a dgp/N/T grid")
@@ -148,12 +146,7 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _float_cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     if not 0.0 < args.level < 1.0:
         raise _UsageError(f"--level must be in (0, 1), got {args.level}")
     if args.ridge_kappa is not None and args.ridge_kappa < 0:
@@ -258,7 +251,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     panel = read_csv(args.input)
     names = _coef_names(panel.n_regressors)
     report = poolability_test(panel, use_ridge=args.ridge)
@@ -333,18 +325,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cells = [
         (dgp, n, t) for dgp in args.dgp for n in args.n for t in args.t
     ]
-    try:
-        report = run_monte_carlo(
-            cells,
-            methods,
-            replications=args.reps,
-            base_seed=args.seed,
-            level=args.level,
-            test_level=args.test_level,
-            workers=workers,
-        )
-    except OutOfRange as exc:
-        raise _UsageError(str(exc)) from exc
+    report = run_monte_carlo(
+        cells,
+        methods,
+        replications=args.reps,
+        base_seed=args.seed,
+        level=args.level,
+        test_level=args.test_level,
+        workers=workers,
+    )
 
     csv_path = Path(f"{args.output_prefix}.csv")
     json_path = Path(f"{args.output_prefix}.json")
@@ -379,10 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OutOfRange as exc:
+    except (_UsageError, OutOfRange) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -1,16 +1,16 @@
 """Slope estimators for heterogeneous panels with two-way fixed effects.
 
-Four estimators share the demeaning machinery:
+``estimate(panel, method, kappa)`` demeans the panel once and runs one of
+four estimators on it:
 
-* ``estimate_tw_mg``: per-unit least-squares slopes after the two-way
-  projection, averaged across units (the mean-group estimator).
-* ``estimate_tw_mg_ridge``: same system with a vanishing ridge shift on every
+* ``tw-mg``: per-unit least-squares slopes after the two-way projection,
+  averaged across units (the mean-group estimator).
+* ``tw-mg-ridge``: same system with a vanishing ridge shift on every
   per-unit block, for very short panels where some block is near singular.
-* ``estimate_tw_pooled``: a single pooled slope vector on the double-demeaned
-  data (classic two-way fixed effects).
-* ``estimate_standard_mg``: per-unit OLS of y on x and an intercept, no time
-  effects, averaged across units. Included as the benchmark the two-way
-  variants improve on.
+* ``tw-pooled``: a single pooled slope vector on the double-demeaned data
+  (classic two-way fixed effects).
+* ``mg``: per-unit OLS of y on x and an intercept, no time effects, averaged
+  across units. Included as the benchmark the two-way variants improve on.
 """
 
 from __future__ import annotations
@@ -22,19 +22,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RankDeficient, SingularBlock, SingularCapacitance, SingularSystem, TooFewPeriods
-from .gram import DEFAULT_RANK_TOLERANCE, build_gram, factorize, sym_eig_bounds, sym_inv
-from .panel import PanelData, double_demean
+from .gram import DEFAULT_RANK_TOLERANCE, factorize, sym_eig_bounds, sym_inv
+from .panel import DemeanedPanel, PanelData, double_demean
 
-__all__ = [
-    "Method",
-    "SlopeEstimates",
-    "estimate",
-    "estimate_tw_mg",
-    "estimate_tw_mg_ridge",
-    "estimate_tw_pooled",
-    "estimate_standard_mg",
-    "compute_ridge_kappa",
-]
+__all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa"]
 
 
 class Method(str, Enum):
@@ -78,41 +69,54 @@ class SlopeEstimates:
         return self.beta_hat.shape[0]
 
 
-def _require_enough_periods(panel: PanelData) -> None:
+def _require_enough_periods(dp: DemeanedPanel) -> None:
     # T = K + 1 would leave zero residual degrees of freedom per unit after
     # the within-time projection, so it is refused as well.
-    if panel.n_periods <= panel.n_regressors + 1:
+    if dp.n_periods <= dp.n_regressors + 1:
         raise TooFewPeriods(
-            f"need T > K + 1 periods per unit, got T={panel.n_periods} "
-            f"with K={panel.n_regressors}"
+            f"need T > K + 1 periods per unit, got T={dp.n_periods} "
+            f"with K={dp.n_regressors}"
         )
 
 
-def _unit_system(dp) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit rhs (N, K) of the two-way slope system, scaled like the Gram."""
+def _unit_system(dp: DemeanedPanel) -> np.ndarray:
+    """Flat per-unit rhs (N K) of the two-way slope system, scaled like the Gram."""
     t = dp.n_periods
     rhs = np.einsum("ntk,nt->nk", dp.x_unit_dm, dp.y_dd) / t
-    return rhs.reshape(-1), rhs
+    return rhs.reshape(-1)
 
 
-def estimate_tw_mg(panel: PanelData) -> SlopeEstimates:
-    """Two-way mean-group estimator: average of per-unit projected slopes."""
-    _require_enough_periods(panel)
-    dp = double_demean(panel)
-    gram = build_gram(dp, 0.0, panel.unit_labels)
+def _two_way_slopes(
+    dp: DemeanedPanel, kappa: float, unit_labels: tuple[str, ...]
+) -> np.ndarray:
+    """Per-unit slopes (N, K) of the two-way system with ridge shift ``kappa``."""
+    fac = factorize(dp, kappa, unit_labels)
+    return fac.solve(_unit_system(dp)).reshape(dp.n_units, dp.n_regressors)
+
+
+def _tw_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
+    """Per-unit slopes of the two-way mean-group estimator."""
+    _require_enough_periods(dp)
     try:
-        fac = factorize(gram)
+        return _two_way_slopes(dp, 0.0, unit_labels)
     except SingularBlock as exc:
         raise RankDeficient(
             f"per-unit design is rank deficient: {exc}", units=exc.units
         ) from exc
-    flat_rhs, _ = _unit_system(dp)
-    slopes = fac.solve(flat_rhs).reshape(panel.n_units, panel.n_regressors)
-    return SlopeEstimates(
-        method=Method.TW_MG,
-        beta_hat=slopes.mean(axis=0),
-        unit_slopes=slopes,
-    )
+
+
+def _ridge_kappa(dp: DemeanedPanel) -> float:
+    xdd = dp.x_dd
+    m = np.einsum("ntk,ntl->nkl", xdd, xdd) / dp.n_periods
+    k = m.shape[-1]
+    if k == 1:
+        dets = m[:, 0, 0]
+    elif k == 2:
+        dets = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+    else:
+        dets = np.linalg.det(m)
+    c_kappa = float(np.median(dets))
+    return max(c_kappa, 0.0) / dp.n_units
 
 
 def compute_ridge_kappa(panel: PanelData) -> float:
@@ -122,53 +126,27 @@ def compute_ridge_kappa(panel: PanelData) -> float:
     double-demeaned regressors; the median over units (midpoint average for
     even N) is divided by N so the shift vanishes as the cross-section grows.
     """
-    dp = double_demean(panel)
-    xdd = dp.x_dd
-    t = panel.n_periods
-    m = np.einsum("ntk,ntl->nkl", xdd, xdd) / t
-    k = m.shape[-1]
-    if k == 1:
-        dets = m[:, 0, 0]
-    elif k == 2:
-        dets = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
-    else:
-        dets = np.linalg.det(m)
-    c_kappa = float(np.median(dets))
-    return max(c_kappa, 0.0) / panel.n_units
+    return _ridge_kappa(double_demean(panel))
 
 
-def estimate_tw_mg_ridge(panel: PanelData, kappa: float | None = None) -> SlopeEstimates:
-    """Ridge-regularised two-way mean-group estimator.
+def _tw_mg_ridge(
+    dp: DemeanedPanel, unit_labels: tuple[str, ...], kappa: float
+) -> np.ndarray:
+    """Per-unit slopes of the ridge-regularised two-way mean-group estimator.
 
-    ``kappa`` defaults to ``compute_ridge_kappa(panel)``. Unlike the plain
-    estimator this tolerates T as small as 2 because the shift keeps every
-    per-unit block invertible whenever kappa > 0.
+    Unlike the plain estimator this tolerates T as small as 2 because the
+    shift keeps every per-unit block invertible whenever kappa > 0.
     """
-    if kappa is None:
-        kappa = compute_ridge_kappa(panel)
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    dp = double_demean(panel)
-    gram = build_gram(dp, kappa, panel.unit_labels)
     try:
-        fac = factorize(gram)
+        return _two_way_slopes(dp, kappa, unit_labels)
     except (SingularBlock, SingularCapacitance) as exc:
         raise SingularSystem(
             f"system is singular even with ridge shift kappa={kappa:g}: {exc}"
         ) from exc
-    flat_rhs, _ = _unit_system(dp)
-    slopes = fac.solve(flat_rhs).reshape(panel.n_units, panel.n_regressors)
-    return SlopeEstimates(
-        method=Method.TW_MG_RIDGE,
-        beta_hat=slopes.mean(axis=0),
-        unit_slopes=slopes,
-        kappa_used=float(kappa),
-    )
 
 
-def estimate_tw_pooled(panel: PanelData) -> SlopeEstimates:
+def _tw_pooled(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
     """Pooled two-way fixed effects slopes on the double-demeaned data."""
-    dp = double_demean(panel)
     xdd = dp.x_dd
     a = np.einsum("ntk,ntl->kl", xdd, xdd)
     b = np.einsum("ntk,nt->k", xdd, dp.y_dd)
@@ -176,21 +154,19 @@ def estimate_tw_pooled(panel: PanelData) -> SlopeEstimates:
     # Compare against the unit-demeaned scale too, so a regressor absorbed
     # entirely by the two-way effects is flagged instead of solved.
     xu = dp.x_unit_dm
-    within_scale = float(np.einsum("ntk,ntk->", xu, xu)) / panel.n_regressors
+    within_scale = float(np.einsum("ntk,ntk->", xu, xu)) / dp.n_regressors
     scale = max(float(hi), within_scale)
     if scale <= 0.0 or float(lo) / scale < DEFAULT_RANK_TOLERANCE:
         raise RankDeficient(
             "pooled design is rank deficient after double demeaning",
-            units=panel.unit_labels,
+            units=unit_labels,
         )
-    beta = cho_solve(cho_factor(a, lower=True), b)
-    return SlopeEstimates(method=Method.TW_POOLED, beta_hat=beta, unit_slopes=None)
+    return cho_solve(cho_factor(a, lower=True), b)
 
 
-def estimate_standard_mg(panel: PanelData) -> SlopeEstimates:
-    """Mean-group estimator without time effects: per-unit OLS with intercept."""
-    _require_enough_periods(panel)
-    dp = double_demean(panel)
+def _standard_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
+    """Per-unit slopes without time effects: per-unit OLS with intercept."""
+    _require_enough_periods(dp)
     xu = dp.x_unit_dm
     blocks = np.einsum("ntk,ntl->nkl", xu, xu)
     rhs = np.einsum("ntk,nt->nk", xu, dp.y_unit_dm)
@@ -199,22 +175,17 @@ def estimate_standard_mg(panel: PanelData) -> SlopeEstimates:
     if scale <= 0.0:
         raise RankDeficient(
             "no within-unit regressor variation anywhere in the panel",
-            units=panel.unit_labels,
+            units=unit_labels,
         )
     bad = np.flatnonzero(lo / scale < DEFAULT_RANK_TOLERANCE)
     if bad.size:
-        labels = tuple(panel.unit_labels[int(i)] for i in bad)
+        labels = tuple(unit_labels[int(i)] for i in bad)
         raise RankDeficient(
             f"per-unit OLS design is rank deficient for unit(s) "
             f"{', '.join(repr(l) for l in labels)}",
             units=labels,
         )
-    slopes = np.einsum("nkl,nl->nk", sym_inv(blocks), rhs)
-    return SlopeEstimates(
-        method=Method.STANDARD_MG,
-        beta_hat=slopes.mean(axis=0),
-        unit_slopes=slopes,
-    )
+    return np.einsum("nkl,nl->nk", sym_inv(blocks), rhs)
 
 
 def estimate(
@@ -222,15 +193,25 @@ def estimate(
     method: Method | str,
     kappa: float | None = None,
 ) -> SlopeEstimates:
-    """Dispatch to the estimator named by ``method``.
+    """Estimate the slopes of ``panel`` with the estimator named by ``method``.
 
-    ``kappa`` is honoured only by the ridge estimator.
+    ``kappa`` is honoured only by the ridge estimator; None there means the
+    data-driven shift of ``compute_ridge_kappa``. Mean-group estimates are
+    the average of the per-unit slopes.
     """
     method = Method(method)
-    if method is Method.TW_MG:
-        return estimate_tw_mg(panel)
-    if method is Method.TW_MG_RIDGE:
-        return estimate_tw_mg_ridge(panel, kappa=kappa)
+    dp = double_demean(panel)
+    labels = panel.unit_labels
     if method is Method.TW_POOLED:
-        return estimate_tw_pooled(panel)
-    return estimate_standard_mg(panel)
+        return SlopeEstimates(method, _tw_pooled(dp, labels), unit_slopes=None)
+    kappa_used = None
+    if method is Method.TW_MG:
+        slopes = _tw_mg(dp, labels)
+    elif method is Method.STANDARD_MG:
+        slopes = _standard_mg(dp, labels)
+    else:
+        if kappa is None:
+            kappa = _ridge_kappa(dp)
+        slopes = _tw_mg_ridge(dp, labels, kappa)
+        kappa_used = float(kappa)
+    return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)

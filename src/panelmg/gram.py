@@ -15,6 +15,9 @@ identity with D = blockdiag(q_i + kappa I):
 so one solve costs O(N K^3 + N K^2 T + T^3) instead of O((N K)^3). The T x T
 capacitance matrix I_T - C' D^{-1} C is symmetric positive definite whenever
 D and Q (+ kappa I) are, so both factorization stages can use Cholesky.
+
+``factorize`` forms the blocks q_i and the factor C from a demeaned panel
+and factorizes them in one step; the NK x NK matrix is never assembled.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import SingularBlock, SingularCapacitance
 from .panel import DemeanedPanel
 
-__all__ = [
-    "BlockLowRankGram",
-    "GramFactorization",
-    "build_gram",
-    "factorize",
-    "solve",
-]
+__all__ = ["GramFactorization", "factorize"]
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 
@@ -78,72 +75,10 @@ def sym_inv(blocks: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockLowRankGram:
-    """The Gram matrix in structured form: blockdiag(diag_blocks + kappa I) - C C'.
-
-    ``diag_blocks`` has shape (N, K, K) and excludes the ridge shift;
-    ``low_rank_factor`` has shape (N, K, T), row block i being the i-th K x T
-    slice of the NK x T factor C.
-    """
-
-    diag_blocks: np.ndarray
-    low_rank_factor: np.ndarray
-    ridge_shift: float
-    unit_labels: tuple[str, ...] | None = None
-
-    @property
-    def n_units(self) -> int:
-        return self.diag_blocks.shape[0]
-
-    @property
-    def n_regressors(self) -> int:
-        return self.diag_blocks.shape[1]
-
-    def dense(self) -> np.ndarray:
-        """Assemble the full NK x NK matrix (test and diagnostic use only)."""
-        n, k = self.n_units, self.n_regressors
-        c = self.low_rank_factor.reshape(n * k, -1)
-        out = -(c @ c.T)
-        shifted = self.diag_blocks + self.ridge_shift * np.eye(k)
-        for i in range(n):
-            out[i * k : (i + 1) * k, i * k : (i + 1) * k] += shifted[i]
-        return out
-
-    def _label(self, i: int) -> str:
-        if self.unit_labels is not None:
-            return self.unit_labels[i]
-        return str(i)
-
-
-def build_gram(
-    dp: DemeanedPanel,
-    kappa: float = 0.0,
-    unit_labels: tuple[str, ...] | None = None,
-) -> BlockLowRankGram:
-    """Build the structured Gram matrix from a demeaned panel.
-
-    Equivalent, up to the ridge shift, to (1/T) Xdd' Xdd where Xdd is the
-    NT x NK block-regressor matrix after the two-way projection.
-    """
-    if kappa < 0:
-        raise ValueError(f"ridge shift must be nonnegative, got {kappa}")
-    xu = dp.x_unit_dm
-    n, t, _ = xu.shape
-    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
-    factor = np.ascontiguousarray(xu.transpose(0, 2, 1)) / np.sqrt(n * t)
-    return BlockLowRankGram(
-        diag_blocks=blocks,
-        low_rank_factor=factor,
-        ridge_shift=float(kappa),
-        unit_labels=unit_labels,
-    )
-
-
-@dataclass(frozen=True)
 class GramFactorization:
-    """Factorized form of a BlockLowRankGram ready for repeated solves."""
+    """The factorized Gram matrix, ready for repeated solves."""
 
-    block_inv: np.ndarray  # (N, K, K) inverses of diag_blocks + kappa I
+    block_inv: np.ndarray  # (N, K, K) inverses of q_i + kappa I
     coupling: np.ndarray  # (N, K, T) the factor C
     coupling_solved: np.ndarray  # (N, K, T) D^{-1} C
     capacitance_factor: tuple[np.ndarray, bool]  # Cholesky of I_T - C' D^{-1} C
@@ -164,13 +99,21 @@ class GramFactorization:
 
 
 def factorize(
-    gram: BlockLowRankGram,
+    dp: DemeanedPanel,
+    kappa: float,
+    unit_labels: tuple[str, ...],
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
 ) -> GramFactorization:
-    """Factorize the structured Gram matrix.
+    """Factorize the structured Gram matrix of a demeaned panel.
+
+    The matrix is, up to the ridge shift ``kappa``, (1/T) Xdd' Xdd where Xdd
+    is the NT x NK block-regressor matrix after the two-way projection.
+    ``unit_labels`` name the offending units in a SingularBlock.
 
     Raises
     ------
+    ValueError
+        ``kappa`` is negative.
     SingularBlock
         Some shifted diagonal block has smallest eigenvalue below
         ``rank_tolerance`` times the largest block eigenvalue in the panel.
@@ -181,10 +124,14 @@ def factorize(
         threshold, i.e. the coupled system is singular even though every
         block is fine.
     """
-    blocks = gram.diag_blocks
-    kappa = gram.ridge_shift
+    if kappa < 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    xu = dp.x_unit_dm
+    n, t, k = xu.shape
+    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
+    c = np.ascontiguousarray(xu.transpose(0, 2, 1)) / np.sqrt(n * t)
     if kappa != 0.0:
-        shifted = blocks + kappa * np.eye(gram.n_regressors)
+        shifted = blocks + kappa * np.eye(k)
     else:
         shifted = blocks
     lo, hi = sym_eig_bounds(shifted)
@@ -193,12 +140,12 @@ def factorize(
         raise SingularBlock(
             "every diagonal block is numerically zero; the regressors carry "
             "no within-unit variation (consider the ridge estimator)",
-            units=tuple(gram._label(i) for i in range(gram.n_units)),
+            units=unit_labels,
         )
     rcond = lo / scale
     bad = np.flatnonzero(rcond < rank_tolerance)
     if bad.size:
-        labels = tuple(gram._label(int(i)) for i in bad)
+        labels = tuple(unit_labels[int(i)] for i in bad)
         raise SingularBlock(
             f"diagonal block(s) for unit(s) {', '.join(repr(l) for l in labels)} "
             f"fail the condition threshold {rank_tolerance:g} "
@@ -207,9 +154,7 @@ def factorize(
         )
 
     block_inv = sym_inv(shifted)
-    c = gram.low_rank_factor
     w = block_inv @ c  # (N, K, T): D^{-1} C per block
-    t = c.shape[-1]
     cap = np.eye(t) - np.einsum("nkt,nks->ts", c, w)
     cap = 0.5 * (cap + cap.T)
     cap_lo, cap_hi = np.linalg.eigvalsh(cap)[[0, -1]]
@@ -227,7 +172,3 @@ def factorize(
         condition_report=rcond,
     )
 
-
-def solve(factorization: GramFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Module-level alias for ``GramFactorization.solve``."""
-    return factorization.solve(rhs)

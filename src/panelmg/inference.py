@@ -35,7 +35,6 @@ from .errors import (
     MethodMismatch,
     OutOfRange,
     RankDeficient,
-    SingularBlock,
     SingularOmegaDelta,
     TooSmall,
 )
@@ -50,6 +49,9 @@ __all__ = [
     "jackknife",
     "confidence_interval",
     "poolability_test",
+    "poolability_report",
+    "loo_estimates",
+    "omega_from_loo",
     "holm_adjust",
     "chi_square_upper_tail",
     "normal_quantile_upper",
@@ -152,18 +154,19 @@ class PoolabilityReport:
 
 def _annotate(exc: EstimationError, label: str) -> EstimationError:
     msg = f"{exc} [while re-estimating with unit '{label}' removed]"
-    if isinstance(exc, (RankDeficient, SingularBlock)):
+    if isinstance(exc, RankDeficient):
         return type(exc)(msg, units=exc.units)
     return type(exc)(msg)
 
 
-def _loo_estimates(
+def loo_estimates(
     panel: PanelData,
     methods: Sequence[Method],
     ridge_kappa: float | None,
 ) -> dict[Method, np.ndarray]:
     """Coefficient estimates on every (N-1)-unit subsample, per method.
 
+    One pass over the subsamples serves every method in ``methods``.
     ``ridge_kappa`` is forwarded to the ridge estimator; None means each
     subsample recomputes its own shift.
     """
@@ -181,7 +184,8 @@ def _loo_estimates(
     return out
 
 
-def _omega_from_loo(loo: np.ndarray) -> np.ndarray:
+def omega_from_loo(loo: np.ndarray) -> np.ndarray:
+    """Jackknife covariance (N - 1) sum_i (b_(-i) - mean)(b_(-i) - mean)'."""
     n = loo.shape[0]
     centered = loo - loo.mean(axis=0)
     return (n - 1) * (centered.T @ centered)
@@ -235,14 +239,14 @@ def jackknife(
     ridge_kappa = None
     if method is Method.TW_MG_RIDGE and kappa_policy == "fixed":
         ridge_kappa = float(kappa) if kappa is not None else compute_ridge_kappa(panel)
-    loo = _loo_estimates(panel, [method], ridge_kappa)[method]
+    loo = loo_estimates(panel, [method], ridge_kappa)[method]
     if np.all(loo == loo[0]):
         raise DegenerateJackknife(
             "all leave-one-out estimates are identical; no spread to estimate"
         )
     return JackknifeCovariance(
         method=method,
-        omega_hat=_omega_from_loo(loo),
+        omega_hat=omega_from_loo(loo),
         loo_estimates=loo,
         kappa_used=ridge_kappa,
     )
@@ -279,28 +283,18 @@ def confidence_interval(
     )
 
 
-def poolability_test(panel: PanelData, use_ridge: bool = False) -> PoolabilityReport:
-    """Test slope homogeneity by contrasting mean-group and pooled estimates.
+def poolability_report(
+    delta: np.ndarray,
+    delta_loo: np.ndarray,
+    kappa_used: float | None,
+) -> PoolabilityReport:
+    """Homogeneity test of the contrast delta = b_mg - b_pooled.
 
-    Leave-one-out values of both estimators come from the same subsample, so
-    the jackknife covariance of the contrast accounts for their dependence.
-    ``use_ridge`` swaps the plain mean-group estimator for its ridge variant
-    (full-sample shift held fixed across subsamples).
+    ``delta_loo`` holds the N x K leave-one-out values of the contrast.
+    ``kappa_used`` is the ridge shift of a ridge mean-group side, else None.
     """
-    if panel.n_units < 3:
-        raise TooSmall(
-            f"poolability test needs N >= 3 units, got N={panel.n_units}"
-        )
-    base = Method.TW_MG_RIDGE if use_ridge else Method.TW_MG
-    ridge_kappa = compute_ridge_kappa(panel) if use_ridge else None
-    full_mg = estimate(panel, base, kappa=ridge_kappa)
-    full_pooled = estimate(panel, Method.TW_POOLED)
-    loo = _loo_estimates(panel, [base, Method.TW_POOLED], ridge_kappa)
-    delta = full_mg.beta_hat - full_pooled.beta_hat
-    delta_loo = loo[base] - loo[Method.TW_POOLED]
-    omega_delta = _omega_from_loo(delta_loo)
-    k = panel.n_regressors
-    n = panel.n_units
+    n, k = delta_loo.shape
+    omega_delta = omega_from_loo(delta_loo)
     joint = _joint_statistic(delta, omega_delta, n)
     per = []
     raw = []
@@ -325,6 +319,30 @@ def poolability_test(panel: PanelData, use_ridge: bool = False) -> PoolabilityRe
         per_coef=per_coef,
         delta=delta,
         omega_delta=omega_delta,
-        ridge_based=use_ridge,
-        kappa_used=ridge_kappa,
+        ridge_based=kappa_used is not None,
+        kappa_used=kappa_used,
+    )
+
+
+def poolability_test(panel: PanelData, use_ridge: bool = False) -> PoolabilityReport:
+    """Test slope homogeneity by contrasting mean-group and pooled estimates.
+
+    Leave-one-out values of both estimators come from the same subsample, so
+    the jackknife covariance of the contrast accounts for their dependence.
+    ``use_ridge`` swaps the plain mean-group estimator for its ridge variant
+    (full-sample shift held fixed across subsamples).
+    """
+    if panel.n_units < 3:
+        raise TooSmall(
+            f"poolability test needs N >= 3 units, got N={panel.n_units}"
+        )
+    base = Method.TW_MG_RIDGE if use_ridge else Method.TW_MG
+    full_mg = estimate(panel, base)
+    ridge_kappa = full_mg.kappa_used
+    full_pooled = estimate(panel, Method.TW_POOLED)
+    loo = loo_estimates(panel, [base, Method.TW_POOLED], ridge_kappa)
+    return poolability_report(
+        full_mg.beta_hat - full_pooled.beta_hat,
+        loo[base] - loo[Method.TW_POOLED],
+        ridge_kappa,
     )

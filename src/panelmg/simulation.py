@@ -33,16 +33,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import OutOfRange, PanelMgError, SingularOmegaDelta
-from .estimators import Method, compute_ridge_kappa, estimate
+from .estimators import Method, estimate
 from .inference import (
-    _joint_statistic,
-    _loo_estimates,
-    _omega_from_loo,
-    chi_square_upper_tail,
+    loo_estimates,
     normal_quantile_upper,
+    omega_from_loo,
+    poolability_report,
 )
 from .panel import PanelData
 
@@ -139,8 +137,12 @@ def _simulate_two_regressor(spec: DgpSpec, rng: np.random.Generator):
         x1 = x1 + gam1[:, None] * f[None, :]
         x2 = x2 + gam2[:, None] * f[None, :]
     # AR(1) with coefficient 0.25 from a zero start, burn-in discarded.
-    u_ar = lfilter([1.0], [1.0, -0.25], u_shocks, axis=1)[:, AR_BURN_IN:]
-    u = np.sqrt(1.0 + 0.25 * x1**2) * u_ar
+    u_ar = np.empty_like(u_shocks)
+    prev = np.zeros(n)
+    for s in range(AR_BURN_IN + t):
+        prev = u_shocks[:, s] + 0.25 * prev
+        u_ar[:, s] = prev
+    u = np.sqrt(1.0 + 0.25 * x1**2) * u_ar[:, AR_BURN_IN:]
     y = beta1[:, None] * x1 + beta2[:, None] * x2 + lam[:, None] + f[None, :] + u
     if interactive:
         y = y + lam[:, None] * f[None, :]
@@ -343,53 +345,46 @@ def _replication(task: tuple) -> dict:
     dgp_id, n_units, n_periods, method_values, seed, level, test_level = task
     methods = [Method(v) for v in method_values]
     panel, truth = simulate_dgp(DgpSpec(dgp_id, n_units, n_periods, seed))
-    kappa = (
-        compute_ridge_kappa(panel) if Method.TW_MG_RIDGE in methods else None
-    )
     errors: dict[str, np.ndarray | None] = {}
     estimates = {}
     for m in methods:
         try:
-            est = estimate(
-                panel, m, kappa=kappa if m is Method.TW_MG_RIDGE else None
-            )
+            est = estimate(panel, m)
             estimates[m] = est
             errors[m.value] = est.beta_hat - truth.beta0
         except PanelMgError:
             errors[m.value] = None
+    # The leave-one-out ridge fits keep the full-sample shift.
+    ridge = estimates.get(Method.TW_MG_RIDGE)
+    kappa = ridge.kappa_used if ridge is not None else None
 
     covered: dict[str, np.ndarray | None] = {}
     rejected: dict[str, bool | None] = {}
     inf_methods = [
         m for m in methods if m in _INFERENCE_METHODS and errors[m.value] is not None
     ]
-    loo = None
-    pooled_full = None
     if inf_methods:
         try:
             pooled_full = estimates.get(Method.TW_POOLED) or estimate(
                 panel, Method.TW_POOLED
             )
-            loo = _loo_estimates(
+            loo = loo_estimates(
                 panel, list(inf_methods) + [Method.TW_POOLED], kappa
             )
         except PanelMgError:
-            loo = None
+            inf_methods = []  # a missing entry counts as no inference
     z = normal_quantile_upper((1.0 - level) / 2.0)
     for m in inf_methods:
-        if loo is None:
-            covered[m.value] = None
-            rejected[m.value] = None
-            continue
-        omega = _omega_from_loo(loo[m])
+        omega = omega_from_loo(loo[m])
         se = np.sqrt(np.diag(omega) / n_units)
         covered[m.value] = np.abs(errors[m.value]) <= z * se
-        delta = estimates[m].beta_hat - pooled_full.beta_hat
-        omega_delta = _omega_from_loo(loo[m] - loo[Method.TW_POOLED])
         try:
-            joint = _joint_statistic(delta, omega_delta, n_units)
-            pvalue = chi_square_upper_tail(joint, len(delta))
-            rejected[m.value] = bool(pvalue < test_level)
+            report = poolability_report(
+                estimates[m].beta_hat - pooled_full.beta_hat,
+                loo[m] - loo[Method.TW_POOLED],
+                kappa if m is Method.TW_MG_RIDGE else None,
+            )
+            rejected[m.value] = bool(report.joint_pvalue < test_level)
         except SingularOmegaDelta:
             rejected[m.value] = None
     return {"errors": errors, "covered": covered, "rejected": rejected}

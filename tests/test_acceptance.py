@@ -18,8 +18,6 @@ from panelmg import (
     compute_ridge_kappa,
     confidence_interval,
     estimate,
-    estimate_tw_mg,
-    estimate_tw_pooled,
     holm_adjust,
     jackknife,
     poolability_test,
@@ -87,9 +85,9 @@ def test_criterion_1_dense_oracle_equivalence():
             y, x, _ = random_panel(int(rng.integers(2**32)), n, t, k)
             panel = PanelData.from_arrays(y, x)
 
-            est = estimate_tw_mg(panel)
+            est = estimate(panel, "tw-mg")
             assert np.abs(est.unit_slopes - lsdv_unit_slopes(y, x)).max() <= 1e-8
-            pooled = estimate_tw_pooled(panel)
+            pooled = estimate(panel, "tw-pooled")
             assert np.abs(pooled.beta_hat - lsdv_pooled_slopes(y, x)).max() <= 1e-8
 
             jk_mg = jackknife(panel, "tw-mg")
@@ -239,7 +237,7 @@ def test_criterion_9_performance_contract():
         y, x, _ = random_panel(9, 5000, 10, 2)
         big = PanelData.from_arrays(y, x)
         start = time.perf_counter()
-        estimate_tw_mg(big)
+        estimate(big, "tw-mg")
         assert time.perf_counter() - start < 2.0
 
         y, x, _ = random_panel(10, 1000, 10, 2)
@@ -252,7 +250,7 @@ def test_criterion_9_performance_contract():
             times = []
             for _ in range(15):
                 t0 = time.perf_counter()
-                estimate_tw_mg(panel)
+                estimate(panel, "tw-mg")
                 times.append(time.perf_counter() - t0)
             return min(times)
 

@@ -1,0 +1,80 @@
+"""The package's public surface and what importing the command line loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import panelmg
+
+PUBLIC = [
+    "__version__",
+    # panel
+    "PanelData",
+    "DemeanedPanel",
+    "validate_panel",
+    "double_demean",
+    "read_csv",
+    # estimators
+    "Method",
+    "SlopeEstimates",
+    "estimate",
+    "compute_ridge_kappa",
+    # inference
+    "JackknifeCovariance",
+    "ConfidenceInterval",
+    "PerCoefficientTest",
+    "PoolabilityReport",
+    "jackknife",
+    "confidence_interval",
+    "poolability_test",
+    "holm_adjust",
+    "chi_square_upper_tail",
+    "normal_quantile_upper",
+    # simulation
+    "DgpSpec",
+    "SimTruth",
+    "SimCell",
+    "SimReport",
+    "simulate_dgp",
+    "run_monte_carlo",
+    "DGP_N_REGRESSORS",
+    # errors
+    "PanelMgError",
+    "DataError",
+    "UnbalancedPanel",
+    "DuplicateCell",
+    "NonFiniteValue",
+    "TooSmall",
+    "MalformedInput",
+    "EstimationError",
+    "SingularBlock",
+    "SingularCapacitance",
+    "RankDeficient",
+    "TooFewPeriods",
+    "SingularSystem",
+    "MethodMismatch",
+    "DegenerateJackknife",
+    "SingularOmegaDelta",
+    "OutOfRange",
+]
+
+
+def test_all_is_the_kept_list():
+    assert panelmg.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in panelmg.__all__:
+        assert getattr(panelmg, name) is not None, name
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(panelmg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, panelmg.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -224,7 +224,7 @@ class TestEstimateErrors:
             ["--estimators", "bogus"],
             ["--estimators", ""],
             ["--ridge-kappa", "-1"],
-            ["--threads", "0"],
+            ["--threads", "1"],  # only simulate takes --threads
         ],
     )
     def test_usage_errors(self, panel_csv, capsys, extra):
@@ -240,38 +240,57 @@ class TestEstimateErrors:
         assert "usage error" in capsys.readouterr().err
 
 
-class TestThreadsResolution:
-    def test_env_variable_accepted(self, panel_csv, capsys, monkeypatch):
-        monkeypatch.setenv("PANELMG_THREADS", "3")
-        code = main(
-            ["estimate", "--input", str(panel_csv), "--estimators", "tw-pooled"]
-        )
-        assert code == 0
-        capsys.readouterr()
+def tiny_simulate(prefix):
+    return [
+        "simulate",
+        "--dgp",
+        "1",
+        "--n",
+        "6",
+        "--t",
+        "4",
+        "--reps",
+        "2",
+        "--seed",
+        "5",
+        "--estimators",
+        "tw-pooled",
+        "--output-prefix",
+        str(prefix),
+    ]
 
-    def test_env_variable_must_be_integer(self, panel_csv, capsys, monkeypatch):
+
+class TestThreadsResolution:
+    def test_env_variable_accepted(self, tmp_path, capsys, monkeypatch):
+        assert main(tiny_simulate(tmp_path / "one")) == 0
+        monkeypatch.setenv("PANELMG_THREADS", "2")
+        assert main(tiny_simulate(tmp_path / "env")) == 0
+        capsys.readouterr()
+        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+    def test_env_variable_must_be_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PANELMG_THREADS", "abc")
-        code = main(
-            ["estimate", "--input", str(panel_csv), "--estimators", "tw-pooled"]
-        )
-        assert code == 1
+        assert main(tiny_simulate(tmp_path / "x")) == 1
         assert "PANELMG_THREADS" in capsys.readouterr().err
 
-    def test_flag_overrides_env(self, panel_csv, capsys, monkeypatch):
+    def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PANELMG_THREADS", "abc")
-        code = main(
-            [
-                "estimate",
-                "--input",
-                str(panel_csv),
-                "--estimators",
-                "tw-pooled",
-                "--threads",
-                "2",
-            ]
-        )
-        assert code == 0
+        assert main(tiny_simulate(tmp_path / "x") + ["--threads", "2"]) == 0
         capsys.readouterr()
+
+    def test_estimate_and_test_ignore_env(self, panel_csv, capsys, monkeypatch):
+        monkeypatch.setenv("PANELMG_THREADS", "abc")
+        for command in ("estimate", "test"):
+            assert main([command, "--input", str(panel_csv)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_help_lists_no_threads(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--input" in out
+        assert "--threads" not in out
 
 
 class TestTestCommand:
@@ -444,6 +463,7 @@ class TestSimulateCommand:
                 "--estimators",
                 "tw-mg",
             ],
+            ["--dgp", "1", "--n", "8", "--t", "4", "--reps", "1", "--seed", "1", "--threads", "0"],
         ],
     )
     def test_usage_errors(self, tmp_path, capsys, args):

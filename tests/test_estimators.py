@@ -12,10 +12,6 @@ from panelmg import (
     compute_ridge_kappa,
     double_demean,
     estimate,
-    estimate_standard_mg,
-    estimate_tw_mg,
-    estimate_tw_mg_ridge,
-    estimate_tw_pooled,
 )
 from oracles import (
     lsdv_pooled_slopes,
@@ -38,7 +34,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("n,t,k", SHAPES)
     def test_tw_mg_unit_slopes(self, n, t, k):
         panel, _ = make_panel(seed=n * 100 + t, n=n, t=t, k=k)
-        est = estimate_tw_mg(panel)
+        est = estimate(panel, "tw-mg")
         want = lsdv_unit_slopes(np.asarray(panel.y), np.asarray(panel.x))
         assert np.abs(est.unit_slopes - want).max() <= 1e-8
         np.testing.assert_allclose(est.beta_hat, est.unit_slopes.mean(axis=0))
@@ -48,7 +44,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("n,t,k", SHAPES)
     def test_tw_pooled(self, n, t, k):
         panel, _ = make_panel(seed=n * 100 + t + 1, n=n, t=t, k=k)
-        est = estimate_tw_pooled(panel)
+        est = estimate(panel, "tw-pooled")
         want = lsdv_pooled_slopes(np.asarray(panel.y), np.asarray(panel.x))
         assert np.abs(est.beta_hat - want).max() <= 1e-8
         assert est.unit_slopes is None
@@ -56,7 +52,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("n,t,k", SHAPES)
     def test_standard_mg(self, n, t, k):
         panel, _ = make_panel(seed=n * 100 + t + 2, n=n, t=t, k=k)
-        est = estimate_standard_mg(panel)
+        est = estimate(panel, "mg")
         want = per_unit_ols_slopes(np.asarray(panel.y), np.asarray(panel.x))
         assert np.abs(est.unit_slopes - want).max() <= 1e-8
         np.testing.assert_allclose(est.beta_hat, want.mean(axis=0), atol=1e-8)
@@ -65,8 +61,8 @@ class TestDenseOracleEquivalence:
 class TestRidge:
     def test_zero_kappa_reproduces_plain_estimator(self):
         panel, _ = make_panel(seed=5)
-        plain = estimate_tw_mg(panel)
-        ridge = estimate_tw_mg_ridge(panel, kappa=0.0)
+        plain = estimate(panel, "tw-mg")
+        ridge = estimate(panel, "tw-mg-ridge", kappa=0.0)
         assert np.array_equal(ridge.unit_slopes, plain.unit_slopes)
         assert np.array_equal(ridge.beta_hat, plain.beta_hat)
         assert ridge.kappa_used == 0.0
@@ -74,7 +70,7 @@ class TestRidge:
 
     def test_default_kappa_is_recorded_data_driven_shift(self):
         panel, _ = make_panel(seed=6, n=9, t=4, k=2)
-        est = estimate_tw_mg_ridge(panel)
+        est = estimate(panel, "tw-mg-ridge")
         assert est.kappa_used == compute_ridge_kappa(panel)
         assert est.kappa_used > 0.0
 
@@ -91,7 +87,7 @@ class TestRidge:
     def test_ridge_matches_dense_shifted_system(self):
         panel, _ = make_panel(seed=8, n=5, t=4, k=1)
         kappa = 0.3
-        est = estimate_tw_mg_ridge(panel, kappa=kappa)
+        est = estimate(panel, "tw-mg-ridge", kappa=kappa)
         dp = double_demean(panel)
         from oracles import dense_gram
 
@@ -105,13 +101,13 @@ class TestRidge:
     def test_negative_kappa_rejected(self):
         panel, _ = make_panel()
         with pytest.raises(ValueError):
-            estimate_tw_mg_ridge(panel, kappa=-0.1)
+            estimate(panel, "tw-mg-ridge", kappa=-0.1)
 
     def test_ridge_tolerates_t_equal_k_plus_one(self):
         panel, _ = make_panel(seed=9, n=8, t=2, k=1)
         with pytest.raises(TooFewPeriods):
-            estimate_tw_mg(panel)
-        est = estimate_tw_mg_ridge(panel)
+            estimate(panel, "tw-mg")
+        est = estimate(panel, "tw-mg-ridge")
         assert np.isfinite(est.beta_hat).all()
 
 
@@ -127,12 +123,12 @@ class TestInvariances:
         shifted = self.shift(panel, 31)
         kappa = compute_ridge_kappa(panel)
         for base, moved in [
-            (estimate_tw_mg(panel), estimate_tw_mg(shifted)),
+            (estimate(panel, "tw-mg"), estimate(shifted, "tw-mg")),
             (
-                estimate_tw_mg_ridge(panel, kappa=kappa),
-                estimate_tw_mg_ridge(shifted, kappa=kappa),
+                estimate(panel, "tw-mg-ridge", kappa=kappa),
+                estimate(shifted, "tw-mg-ridge", kappa=kappa),
             ),
-            (estimate_tw_pooled(panel), estimate_tw_pooled(shifted)),
+            (estimate(panel, "tw-pooled"), estimate(shifted, "tw-pooled")),
         ]:
             assert np.abs(base.beta_hat - moved.beta_hat).max() <= 1e-8
 
@@ -142,9 +138,9 @@ class TestInvariances:
         x_scaled = np.asarray(panel.x).copy()
         x_scaled[:, :, 0] *= c
         scaled = PanelData.from_arrays(panel.y, x_scaled)
-        for fn in (estimate_tw_mg, estimate_tw_pooled, estimate_standard_mg):
-            base = fn(panel).beta_hat
-            got = fn(scaled).beta_hat
+        for method in ("tw-mg", "tw-pooled", "mg"):
+            base = estimate(panel, method).beta_hat
+            got = estimate(scaled, method).beta_hat
             assert got[0] == pytest.approx(base[0] / c, rel=1e-9)
             assert got[1] == pytest.approx(base[1], rel=1e-9)
 
@@ -156,8 +152,8 @@ class TestInvariances:
             panel.x[perm],
             unit_labels=[panel.unit_labels[i] for i in perm],
         )
-        for fn in (estimate_tw_mg, estimate_tw_pooled, estimate_standard_mg):
-            base, moved = fn(panel), fn(permuted)
+        for method in ("tw-mg", "tw-pooled", "mg"):
+            base, moved = estimate(panel, method), estimate(permuted, method)
             np.testing.assert_allclose(moved.beta_hat, base.beta_hat, atol=1e-12)
             if base.unit_slopes is not None:
                 np.testing.assert_allclose(
@@ -171,12 +167,12 @@ class TestInvariances:
         a, b = rng.normal(size=n), rng.normal(size=t)
         y_two_way = 2.5 * x[:, :, 0] + a[:, None] + b[None, :]
         panel = PanelData.from_arrays(y_two_way, x)
-        for fn in (estimate_tw_mg, estimate_tw_pooled):
-            assert fn(panel).beta_hat[0] == pytest.approx(2.5, abs=1e-10)
+        for method in ("tw-mg", "tw-pooled"):
+            assert estimate(panel, method).beta_hat[0] == pytest.approx(2.5, abs=1e-10)
         # the plain mean-group benchmark needs a DGP without time effects
         y_one_way = 2.5 * x[:, :, 0] + a[:, None]
-        assert estimate_standard_mg(
-            PanelData.from_arrays(y_one_way, x)
+        assert estimate(
+            PanelData.from_arrays(y_one_way, x), "mg"
         ).beta_hat[0] == pytest.approx(2.5, abs=1e-10)
 
 
@@ -184,19 +180,19 @@ class TestFailureModes:
     def test_too_few_periods(self):
         panel, _ = make_panel(seed=40, n=5, t=3, k=2)  # T == K + 1
         with pytest.raises(TooFewPeriods):
-            estimate_tw_mg(panel)
+            estimate(panel, "tw-mg")
         with pytest.raises(TooFewPeriods):
-            estimate_standard_mg(panel)
+            estimate(panel, "mg")
 
     def test_constant_regressor_names_unit(self):
         y, x, _ = random_panel(41, 6, 5, 1)
         x[3, :, 0] = 1.0
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(RankDeficient, match="'u4'") as info:
-            estimate_tw_mg(panel)
+            estimate(panel, "tw-mg")
         assert info.value.units == ("u4",)
         with pytest.raises(RankDeficient) as info:
-            estimate_standard_mg(panel)
+            estimate(panel, "mg")
         assert info.value.units == ("u4",)
 
     def test_two_way_structure_only_regressor(self):
@@ -208,26 +204,19 @@ class TestFailureModes:
         x = (a[:, None] + b[None, :])[:, :, None]
         panel = PanelData.from_arrays(rng.normal(size=(6, 5)), x)
         with pytest.raises(RankDeficient):
-            estimate_tw_pooled(panel)
+            estimate(panel, "tw-pooled")
         with pytest.raises(SingularCapacitance):
-            estimate_tw_mg(panel)
+            estimate(panel, "tw-mg")
 
 
 class TestDispatcher:
     def test_string_and_enum_dispatch(self):
         panel, _ = make_panel(seed=50)
-        for name, fn in [
-            ("tw-mg", estimate_tw_mg),
-            ("tw-pooled", estimate_tw_pooled),
-            ("mg", estimate_standard_mg),
-        ]:
-            got = estimate(panel, name)
-            want = fn(panel)
-            assert np.array_equal(got.beta_hat, want.beta_hat)
-            assert got.method is Method(name)
-        by_enum = estimate(panel, Method.TW_MG_RIDGE, kappa=0.2)
-        by_name = estimate_tw_mg_ridge(panel, kappa=0.2)
-        assert np.array_equal(by_enum.beta_hat, by_name.beta_hat)
+        for method in Method:
+            by_name = estimate(panel, method.value, kappa=0.2)
+            by_enum = estimate(panel, method, kappa=0.2)
+            assert np.array_equal(by_name.beta_hat, by_enum.beta_hat)
+            assert by_name.method is by_enum.method is method
 
     def test_unknown_method(self):
         panel, _ = make_panel()
@@ -237,11 +226,11 @@ class TestDispatcher:
     def test_kappa_ignored_outside_ridge(self):
         panel, _ = make_panel(seed=51)
         got = estimate(panel, "tw-mg", kappa=123.0)
-        assert np.array_equal(got.beta_hat, estimate_tw_mg(panel).beta_hat)
+        assert np.array_equal(got.beta_hat, estimate(panel, "tw-mg").beta_hat)
 
     def test_results_are_read_only(self):
         panel, _ = make_panel(seed=52)
-        est = estimate_tw_mg(panel)
+        est = estimate(panel, "tw-mg")
         with pytest.raises(ValueError):
             est.beta_hat[0] = 0.0
         with pytest.raises(ValueError):

@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from panelmg import (
-    PanelData,
-    SingularBlock,
-    SingularCapacitance,
-    build_gram,
-    double_demean,
-    factorize,
-    solve,
-)
-from panelmg.gram import sym_eig_bounds, sym_inv
+from panelmg import PanelData, SingularBlock, SingularCapacitance, double_demean
+from panelmg.gram import factorize, sym_eig_bounds, sym_inv
 from oracles import dense_gram, random_panel
 
 
@@ -22,36 +14,28 @@ def demeaned(seed=0, n=6, t=5, k=2):
     return panel, double_demean(panel)
 
 
+def dense(dp, kappa=0.0):
+    return dense_gram(np.asarray(dp.x_unit_dm), kappa)
+
+
 class TestAssembly:
     def test_blocks_match_per_unit_gram(self):
         panel, dp = demeaned(seed=1, n=5, t=6, k=2)
-        gram = build_gram(dp, 0.0, panel.unit_labels)
+        fac = factorize(dp, 0.0, panel.unit_labels)
         for i in range(panel.n_units):
             xi = dp.x_unit_dm[i]
             np.testing.assert_allclose(
-                gram.diag_blocks[i], xi.T @ xi / panel.n_periods, atol=1e-12
+                fac.block_inv[i] @ (xi.T @ xi / panel.n_periods), np.eye(2), atol=1e-10
             )
-        assert gram.low_rank_factor.shape == (5, 2, 6)
-        assert gram.unit_labels == panel.unit_labels
-
-    @pytest.mark.parametrize("kappa", [0.0, 0.37])
-    def test_dense_matches_oracle(self, kappa):
-        _, dp = demeaned(seed=2, n=4, t=5, k=2)
-        gram = build_gram(dp, kappa)
-        np.testing.assert_allclose(
-            gram.dense(), dense_gram(np.asarray(dp.x_unit_dm), kappa), atol=1e-12
-        )
-
-    def test_ridge_shift_is_pure_diagonal(self):
-        _, dp = demeaned(seed=3, n=4, t=4, k=1)
-        base = build_gram(dp, 0.0).dense()
-        shifted = build_gram(dp, 0.25).dense()
-        np.testing.assert_allclose(shifted - base, 0.25 * np.eye(4), atol=1e-14)
+            np.testing.assert_allclose(
+                fac.coupling[i], xi.T / np.sqrt(panel.n_units * panel.n_periods), atol=1e-12
+            )
+        assert fac.coupling.shape == (5, 2, 6)
 
     def test_negative_kappa_rejected(self):
-        _, dp = demeaned()
+        panel, dp = demeaned()
         with pytest.raises(ValueError):
-            build_gram(dp, -1e-9)
+            factorize(dp, -1e-9, panel.unit_labels)
 
 
 class TestSolve:
@@ -63,36 +47,28 @@ class TestSolve:
                     seed += 1
                     if n * (t - k - 1) < t - 1:
                         continue  # fewer observations than dummy-OLS columns
-                    _, dp = demeaned(seed=seed, n=n, t=t, k=k)
-                    gram = build_gram(dp)
-                    fac = factorize(gram)
+                    panel, dp = demeaned(seed=seed, n=n, t=t, k=k)
+                    fac = factorize(dp, 0.0, panel.unit_labels)
                     rng = np.random.default_rng(seed)
                     rhs = rng.normal(size=n * k)
                     got = fac.solve(rhs)
-                    want = np.linalg.solve(gram.dense(), rhs)
+                    want = np.linalg.solve(dense(dp), rhs)
                     scale = np.abs(want).max()
                     assert np.abs(got - want).max() <= 1e-8 * max(scale, 1.0)
 
     def test_solve_with_ridge_matches_dense(self):
-        _, dp = demeaned(seed=7, n=6, t=4, k=2)
-        gram = build_gram(dp, 0.05)
+        panel, dp = demeaned(seed=7, n=6, t=4, k=2)
         rhs = np.random.default_rng(7).normal(size=12)
         np.testing.assert_allclose(
-            factorize(gram).solve(rhs),
-            np.linalg.solve(gram.dense(), rhs),
+            factorize(dp, 0.05, panel.unit_labels).solve(rhs),
+            np.linalg.solve(dense(dp, 0.05), rhs),
             atol=1e-10,
         )
 
-    def test_module_level_solve_alias(self):
-        _, dp = demeaned(seed=8, n=4, t=5, k=1)
-        fac = factorize(build_gram(dp))
-        rhs = np.arange(4.0)
-        np.testing.assert_array_equal(solve(fac, rhs), fac.solve(rhs))
-
     def test_implied_inverse_is_symmetric(self):
         # solve(e_a) . e_b must equal solve(e_b) . e_a on sampled basis pairs
-        _, dp = demeaned(seed=9, n=7, t=6, k=2)
-        fac = factorize(build_gram(dp))
+        panel, dp = demeaned(seed=9, n=7, t=6, k=2)
+        fac = factorize(dp, 0.0, panel.unit_labels)
         rng = np.random.default_rng(9)
         dim = 14
         for _ in range(10):
@@ -102,14 +78,14 @@ class TestSolve:
             assert abs(fac.solve(ea)[b] - fac.solve(eb)[a]) <= 1e-8
 
     def test_rhs_shape_checked(self):
-        _, dp = demeaned(seed=10, n=4, t=4, k=1)
-        fac = factorize(build_gram(dp))
+        panel, dp = demeaned(seed=10, n=4, t=4, k=1)
+        fac = factorize(dp, 0.0, panel.unit_labels)
         with pytest.raises(ValueError, match="shape"):
             fac.solve(np.zeros(5))
 
     def test_condition_report_in_unit_interval(self):
-        _, dp = demeaned(seed=11, n=5, t=5, k=2)
-        fac = factorize(build_gram(dp))
+        panel, dp = demeaned(seed=11, n=5, t=5, k=2)
+        fac = factorize(dp, 0.0, panel.unit_labels)
         assert fac.condition_report.shape == (5,)
         assert np.all(fac.condition_report > 0.0)
         assert np.all(fac.condition_report <= 1.0)
@@ -120,9 +96,8 @@ class TestSingularity:
         y, x, _ = random_panel(20, 5, 5, 1)
         x[2, :, 0] = 4.2  # no within variation for the third unit
         panel = PanelData.from_arrays(y, x)
-        gram = build_gram(double_demean(panel), 0.0, panel.unit_labels)
         with pytest.raises(SingularBlock, match="'u3'") as info:
-            factorize(gram)
+            factorize(double_demean(panel), 0.0, panel.unit_labels)
         assert info.value.units == ("u3",)
         assert "ridge" in str(info.value)
 
@@ -130,9 +105,8 @@ class TestSingularity:
         y = np.random.default_rng(0).normal(size=(4, 5))
         x = np.tile(np.arange(1.0, 5.0)[:, None, None], (1, 5, 1))
         panel = PanelData.from_arrays(y, x)
-        gram = build_gram(double_demean(panel), 0.0, panel.unit_labels)
         with pytest.raises(SingularBlock) as info:
-            factorize(gram)
+            factorize(double_demean(panel), 0.0, panel.unit_labels)
         assert info.value.units == panel.unit_labels
 
     def test_cross_section_collinearity_hits_capacitance(self):
@@ -145,9 +119,8 @@ class TestSingularity:
         x = np.outer(g, w)[:, :, None]
         y = rng.normal(size=(4, 6))
         panel = PanelData.from_arrays(y, x)
-        gram = build_gram(double_demean(panel), 0.0, panel.unit_labels)
         with pytest.raises(SingularCapacitance):
-            factorize(gram)
+            factorize(double_demean(panel), 0.0, panel.unit_labels)
 
     def test_ridge_shift_rescues_capacitance(self):
         rng = np.random.default_rng(22)
@@ -155,20 +128,19 @@ class TestSingularity:
         g = np.array([1.0, 2.0, -1.5, 0.5])
         panel = PanelData.from_arrays(rng.normal(size=(4, 6)), np.outer(g, w)[:, :, None])
         dp = double_demean(panel)
-        gram = build_gram(dp, 0.1)
-        fac = factorize(gram)
+        fac = factorize(dp, 0.1, panel.unit_labels)
         rhs = rng.normal(size=4)
         np.testing.assert_allclose(
-            fac.solve(rhs), np.linalg.solve(gram.dense(), rhs), atol=1e-10
+            fac.solve(rhs), np.linalg.solve(dense(dp, 0.1), rhs), atol=1e-10
         )
 
     def test_rank_tolerance_is_adjustable(self):
         y, x, _ = random_panel(23, 4, 5, 1)
         panel = PanelData.from_arrays(y, x)
-        gram = build_gram(double_demean(panel))
-        factorize(gram)  # fine at the default tolerance
+        dp = double_demean(panel)
+        factorize(dp, 0.0, panel.unit_labels)  # fine at the default tolerance
         with pytest.raises(SingularBlock):
-            factorize(gram, rank_tolerance=1.1)
+            factorize(dp, 0.0, panel.unit_labels, rank_tolerance=1.1)
 
 
 class TestSmallSymmetricKernels:
