@@ -73,8 +73,6 @@ def _resolve_threads(args: argparse.Namespace) -> int:
                 raise _UsageError(f"PANELMG_THREADS must be an integer, got {env!r}")
         else:
             threads = 1
-    if threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {threads}")
     return threads
 
 
@@ -313,14 +311,6 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     workers = _resolve_threads(args)
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    if not 0.0 < args.level < 1.0:
-        raise _UsageError(f"--level must be in (0, 1), got {args.level}")
-    if not 0.0 < args.test_level < 1.0:
-        raise _UsageError(f"--test-level must be in (0, 1), got {args.test_level}")
     methods = _parse_estimators(args.estimators)
     cells = [
         (dgp, n, t) for dgp in args.dgp for n in args.n for t in args.t

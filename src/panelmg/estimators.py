@@ -22,10 +22,18 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RankDeficient, SingularBlock, SingularCapacitance, SingularSystem, TooFewPeriods
-from .gram import DEFAULT_RANK_TOLERANCE, factorize, sym_eig_bounds, sym_inv
+from .gram import (
+    DEFAULT_RANK_TOLERANCE,
+    SCREEN_TOLERANCE,
+    factorize,
+    loo_two_way,
+    screen_loo_blocks,
+    sym_eig_bounds,
+    sym_inv,
+)
 from .panel import DemeanedPanel, PanelData, double_demean
 
-__all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa"]
+__all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa", "leave_one_out"]
 
 
 class Method(str, Enum):
@@ -164,6 +172,35 @@ def _tw_pooled(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
     return cho_solve(cho_factor(a, lower=True), b)
 
 
+def _tw_pooled_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled slopes on every (N-1)-unit subsample from downdated sums.
+
+    With G_i = xdd_i' xdd_i, g_i = xdd_i' ydd_i and period sums S_x, S_y of
+    the full-sample double-demeaned data, deleting unit j leaves the normal
+    equations
+
+        (G - G_j - s' s / (N-1)) b = g - g_j - s' (S_y - ydd_j) / (N-1),
+
+    s = S_x - xdd_j, since the subsample's own two-way projection is blind to
+    the full sample's period means. The rank check of ``_tw_pooled`` runs on
+    each downdated matrix; flagged subsamples get placeholder values.
+    """
+    xdd, ydd, xu = dp.x_dd, dp.y_dd, dp.x_unit_dm
+    n, _, k = xdd.shape
+    g = np.einsum("ntk,ntl->nkl", xdd, xdd)
+    gy = np.einsum("ntk,nt->nk", xdd, ydd)
+    sx = xdd.sum(axis=0) - xdd
+    sy = ydd.sum(axis=0) - ydd
+    a = g.sum(axis=0) - g - np.einsum("ntk,ntl->nkl", sx, sx) / (n - 1)
+    b = gy.sum(axis=0) - gy - np.einsum("ntk,nt->nk", sx, sy) / (n - 1)
+    lo, hi = sym_eig_bounds(a)
+    within = np.einsum("ntk,ntk->n", xu, xu)
+    scale = np.maximum(hi, (within.sum() - within) / k)
+    flagged = ~((scale > 0.0) & (lo >= SCREEN_TOLERANCE * scale))
+    a[flagged] = np.eye(k)
+    return np.linalg.solve(a, b[..., None])[..., 0], flagged
+
+
 def _standard_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
     """Per-unit slopes without time effects: per-unit OLS with intercept."""
     _require_enough_periods(dp)
@@ -186,6 +223,23 @@ def _standard_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
             units=labels,
         )
     return np.einsum("nkl,nl->nk", sym_inv(blocks), rhs)
+
+
+def _standard_mg_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
+    """Standard mean-group slopes on every (N-1)-unit subsample.
+
+    Per-unit slopes do not couple across units, so deleting unit j leaves
+    (sum_i b_i - b_j) / (N-1).
+    """
+    xu = dp.x_unit_dm
+    n, _, k = xu.shape
+    blocks = np.einsum("ntk,ntl->nkl", xu, xu)
+    flagged = screen_loo_blocks(blocks)
+    if flagged.all():
+        return np.zeros((n, k)), flagged
+    rhs = np.einsum("ntk,nt->nk", xu, dp.y_unit_dm)
+    slopes = np.einsum("nkl,nl->nk", sym_inv(blocks), rhs)
+    return (slopes.sum(axis=0) - slopes) / (n - 1), flagged
 
 
 def estimate(
@@ -215,3 +269,38 @@ def estimate(
         slopes = _tw_mg_ridge(dp, labels, kappa)
         kappa_used = float(kappa)
     return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)
+
+
+def leave_one_out(
+    dp: DemeanedPanel, method: Method | str, kappa: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates on every (N-1)-unit subsample, downdated from one demeaning.
+
+    Returns the (N, K) leave-one-out estimates in unit order and an (N,)
+    mask of subsamples whose value must come from re-estimating that
+    subsample instead: one of its checks fails or lands within the
+    ``SCREEN_TOLERANCE`` margin of its threshold, or its value is not
+    finite. Re-estimating a flagged subsample raises exactly the error the
+    estimator raises there. Unflagged values agree with re-estimation to
+    rounding error. ``kappa`` is the ridge shift held fixed on every
+    subsample; None (each subsample recomputing its own) flags them all, as
+    do N < 3, T <= K + 1 for the estimators that refuse it, and a negative
+    or non-finite shift.
+    """
+    method = Method(method)
+    n, k = dp.n_units, dp.n_regressors
+    if method is Method.TW_MG_RIDGE:
+        usable = kappa is not None and 0.0 <= kappa < np.inf
+    elif method is Method.TW_POOLED:
+        usable = True
+    else:
+        usable = dp.n_periods > k + 1
+    if n < 3 or not usable:
+        return np.zeros((n, k)), np.ones(n, dtype=bool)
+    if method is Method.TW_POOLED:
+        values, flagged = _tw_pooled_loo(dp)
+    elif method is Method.STANDARD_MG:
+        values, flagged = _standard_mg_loo(dp)
+    else:
+        values, flagged = loo_two_way(dp, 0.0 if method is Method.TW_MG else kappa)
+    return values, flagged | ~np.isfinite(values).all(axis=1)

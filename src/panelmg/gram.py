@@ -18,6 +18,11 @@ D and Q (+ kappa I) are, so both factorization stages can use Cholesky.
 
 ``factorize`` forms the blocks q_i and the factor C from a demeaned panel
 and factorizes them in one step; the NK x NK matrix is never assembled.
+
+Deleting one unit leaves every other block q_i as it is and changes only
+sums over units, so ``loo_two_way`` applies the same identity to all N
+leave-one-out subsamples at once by subtracting one unit's terms from the
+full-sample sums.
 """
 
 from __future__ import annotations
@@ -30,9 +35,14 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import SingularBlock, SingularCapacitance
 from .panel import DemeanedPanel
 
-__all__ = ["GramFactorization", "factorize"]
+__all__ = ["GramFactorization", "factorize", "loo_two_way"]
 
 DEFAULT_RANK_TOLERANCE = 1e-10
+# Leave-one-out values are downdated only where every check clears its
+# threshold by this factor; the rest are re-estimated literally. The margin
+# absorbs rounding differences between a downdated check and the literal one
+# and keeps downdated values to reciprocal conditions of at least 1e-6.
+SCREEN_TOLERANCE = 1e4 * DEFAULT_RANK_TOLERANCE
 
 
 def sym_eig_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,3 +182,77 @@ def factorize(
         condition_report=rcond,
     )
 
+
+def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Flag the subsamples whose block check may fail or nearly fail.
+
+    Deleting unit j leaves every other block as it is, so subsample j's
+    reference scale is the largest block eigenvalue among the other units,
+    read from the top two. Every unit's smallest eigenvalue is held to that
+    scale, the deleted unit's too: its inverse enters the full-sample sums
+    the subsample values are downdated from.
+    """
+    lo, hi = sym_eig_bounds(blocks)
+    top = int(np.argmax(hi))
+    scale = np.full(hi.shape, hi[top])
+    scale[top] = np.max(np.delete(hi, top))
+    return ~((scale > 0.0) & (lo.min() >= SCREEN_TOLERANCE * scale))
+
+
+def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean slopes of the two-way system on every (N-1)-unit subsample.
+
+    With A_i = (q_i + kappa I)^{-1} xdot_i' (K x T), M_i = xdot_i A_i (T x T)
+    and a subsample of N - 1 units whose outcomes have period means m, the
+    Woodbury solve of ``factorize`` reduces to
+
+        w   = (I_T - sum M_i / ((N-1) T))^{-1} (sum M_i (y_i - m)) / ((N-1) T^2)
+        z_i = A_i ((y_i - m) / T + w)
+
+    so the subsample mean slope is
+    (sum A_i y_i - sum A_i m) / ((N-1) T) + sum A_i w / (N-1), where every
+    sum runs over the subsample: the full-sample sum minus the deleted
+    unit's term.
+    Outcomes enter through the full-sample double-demeaned y; the two-way
+    projection of a subsample is blind to the shift from unit-demeaned y, and
+    the subsample's period means stay near zero. All N capacitance matrices
+    are checked and solved in one batch.
+
+    Returns the (N, K) values and an (N,) mask of subsamples whose block or
+    capacitance check lands below ``SCREEN_TOLERANCE``; their values are not
+    to be used.
+    """
+    xu, y = dp.x_unit_dm, dp.y_dd
+    n, t, k = xu.shape
+    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
+    if kappa != 0.0:
+        blocks = blocks + kappa * np.eye(k)
+    flagged = screen_loo_blocks(blocks)
+    if flagged.all():
+        return np.zeros((n, k)), flagged
+    a = sym_inv(blocks) @ xu.transpose(0, 2, 1)
+    m = xu @ a
+    sum_m = m.sum(axis=0)
+    means = (y.sum(axis=0) - y) / (n - 1)
+    # sum of M_i (y_i - m) over the subsample: over all units, less unit j's
+    rhs = (
+        np.einsum("nts,ns->t", m, y)
+        - means @ sum_m.T
+        - np.einsum("nts,ns->nt", m, y - means)
+    )
+    # The capacitance matrices take over m's memory, the largest array here.
+    cap = np.subtract(sum_m, m, out=m)
+    cap *= -1.0 / ((n - 1) * t)
+    cap.reshape(n, t * t)[:, :: t + 1] += 1.0
+    ev = np.linalg.eigvalsh(cap)
+    flagged |= ~((ev[:, -1] > 0.0) & (ev[:, 0] >= SCREEN_TOLERANCE * ev[:, -1]))
+    cap[flagged] = np.eye(t)
+    w = np.linalg.solve(cap, rhs[..., None] / ((n - 1) * t * t))[..., 0]
+
+    ay = np.einsum("nkt,nt->nk", a, y)
+    sum_a = a.sum(axis=0) - a
+    values = (
+        (ay.sum(axis=0) - ay - np.einsum("nkt,nt->nk", sum_a, means)) / t
+        + np.einsum("nkt,nt->nk", sum_a, w)
+    ) / (n - 1)
+    return values, flagged

@@ -1,9 +1,19 @@
 """Leave-one-out jackknife inference and the slope-homogeneity test.
 
-The covariance estimator re-runs the chosen estimator on every (N-1)-unit
-subsample, literally rebuilding each subpanel and calling the public
-estimator, so the jackknife is exact by construction rather than an
-approximation of it. For an estimate b with leave-one-out values b_(-i),
+The covariance estimator needs every estimator's value on every (N-1)-unit
+subsample. Deleting a unit changes only sums over units, so the panel is
+demeaned once, per-unit pieces are built once, and each leave-one-out value
+follows by subtracting one unit's terms from the full-sample sums
+(``estimators.leave_one_out``): O(N) per estimator and algebraically equal
+to re-estimating, so the jackknife stays exact rather than approximate. Each
+subsample's failure checks are downdated the same way. A subsample whose
+check fails or comes within a fixed margin of its threshold is re-estimated
+with the public estimator on the rebuilt subpanel, which raises the same
+error a literal loop over subsamples would raise first, or supplies the
+value. A ridge shift recomputed on every subsample does not downdate, so
+that policy always re-estimates literally.
+
+For an estimate b with leave-one-out values b_(-i),
 
     Omega = (N - 1) * sum_i (b_(-i) - mean) (b_(-i) - mean)'
 
@@ -38,8 +48,14 @@ from .errors import (
     SingularOmegaDelta,
     TooSmall,
 )
-from .estimators import Method, SlopeEstimates, compute_ridge_kappa, estimate
-from .panel import PanelData
+from .estimators import (
+    Method,
+    SlopeEstimates,
+    compute_ridge_kappa,
+    estimate,
+    leave_one_out,
+)
+from .panel import PanelData, double_demean
 
 __all__ = [
     "JackknifeCovariance",
@@ -166,21 +182,28 @@ def loo_estimates(
 ) -> dict[Method, np.ndarray]:
     """Coefficient estimates on every (N-1)-unit subsample, per method.
 
-    One pass over the subsamples serves every method in ``methods``.
-    ``ridge_kappa`` is forwarded to the ridge estimator; None means each
-    subsample recomputes its own shift.
+    The panel is demeaned once and every method's values are downdated from
+    it (``estimators.leave_one_out``). Subsamples it flags are re-estimated
+    with the public estimator on the rebuilt subpanel, visited in unit order
+    and then in the order of ``methods``, as a loop over all subsamples
+    would visit them, so the first failure raises the same error, annotated
+    with the removed unit. ``ridge_kappa`` is forwarded to the ridge
+    estimator; None means each subsample recomputes its own shift, which is
+    always re-estimated literally.
     """
-    n, k = panel.n_units, panel.n_regressors
-    out = {m: np.empty((n, k)) for m in methods}
-    for i in range(n):
-        sub = panel.without_unit(i)
+    dp = double_demean(panel)
+    out, flagged = {}, {}
+    for m in methods:
+        out[m], flagged[m] = leave_one_out(dp, m, ridge_kappa)
+    for i in np.flatnonzero(np.any([flagged[m] for m in methods], axis=0)):
+        sub = panel.without_unit(int(i))
         for m in methods:
-            kappa = ridge_kappa if m is Method.TW_MG_RIDGE else None
+            if not flagged[m][i]:
+                continue
             try:
-                est = estimate(sub, m, kappa=kappa)
+                out[m][i] = estimate(sub, m, kappa=ridge_kappa).beta_hat
             except EstimationError as exc:
                 raise _annotate(exc, panel.unit_labels[i]) from exc
-            out[m][i] = est.beta_hat
     return out
 
 
@@ -214,6 +237,12 @@ def jackknife(
     kappa: float | None = None,
 ) -> JackknifeCovariance:
     """Exact leave-one-out jackknife covariance for any supported estimator.
+
+    Leave-one-out values are downdated from one pass over the panel, O(N)
+    in all; subsamples whose checks come near failure, and every subsample
+    under ``kappa_policy="recomputed"``, are re-estimated literally instead.
+    A failing subsample raises the estimator's error, annotated with the
+    removed unit.
 
     Parameters
     ----------

@@ -174,8 +174,10 @@ class DemeanedPanel:
     x_unit_dm: np.ndarray
 
     def __post_init__(self) -> None:
+        # ``double_demean`` builds these arrays fresh and hands them over, so
+        # they are marked read-only in place rather than copied.
         for name in ("y_dd", "x_dd", "y_unit_dm", "x_unit_dm"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
 
     @property
     def n_units(self) -> int:

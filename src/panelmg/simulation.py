@@ -466,6 +466,8 @@ def run_monte_carlo(
     """
     if replications < 1:
         raise OutOfRange(f"need at least 1 replication, got {replications}")
+    if base_seed < 0:
+        raise OutOfRange(f"base seed must be >= 0, got {base_seed}")
     if not 0.0 < level < 1.0:
         raise OutOfRange(f"confidence level must be in (0, 1), got {level}")
     if not 0.0 < test_level < 1.0:

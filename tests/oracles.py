@@ -109,3 +109,24 @@ def random_panel(
         + noise * rng.normal(0.0, 1.0, (n, t))
     )
     return y, x, beta
+
+
+def literal_loo(panel, method, kappa=None):
+    """Leave-one-out estimates by rebuilding and re-estimating every subpanel.
+
+    Returns the (N, K) estimates in unit order. The first subsample whose
+    estimate fails re-raises that error with the removed unit named the way
+    the jackknife names it.
+    """
+    from panelmg import EstimationError, estimate
+
+    out = np.empty((panel.n_units, panel.n_regressors))
+    for i in range(panel.n_units):
+        try:
+            out[i] = estimate(panel.without_unit(i), method, kappa=kappa).beta_hat
+        except EstimationError as exc:
+            msg = f"{exc} [while re-estimating with unit '{panel.unit_labels[i]}' removed]"
+            if hasattr(exc, "units"):
+                raise type(exc)(msg, units=exc.units) from exc
+            raise type(exc)(msg) from exc
+    return out

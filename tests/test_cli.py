@@ -7,6 +7,7 @@ import pytest
 
 from panelmg import (
     DgpSpec,
+    OutOfRange,
     PanelData,
     SimReport,
     compute_ridge_kappa,
@@ -472,3 +473,10 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_library_and_cli_report_the_same_message(self, tmp_path, capsys):
+        with pytest.raises(OutOfRange) as exc:
+            run_monte_carlo([(1, 8, 4)], ["tw-mg"], 0, 1)
+        args = ["--dgp", "1", "--n", "8", "--t", "4", "--reps", "0", "--seed", "1"]
+        assert main(["simulate"] + args + ["--output-prefix", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"usage error: {exc.value}\n"

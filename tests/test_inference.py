@@ -26,7 +26,7 @@ from panelmg import (
     poolability_test,
 )
 from panelmg.inference import _joint_statistic
-from oracles import random_panel
+from oracles import literal_loo, random_panel
 
 
 def make_panel(seed=0, n=10, t=6, k=2, **kw):
@@ -139,12 +139,15 @@ class TestHolm:
 class TestJackknife:
     @pytest.mark.parametrize("method", ["tw-mg", "tw-mg-ridge", "tw-pooled", "mg"])
     def test_loo_estimates_reproduce_public_estimator_bit_for_bit(self, method):
+        # The jackknife downdates full-sample sums instead of re-estimating,
+        # so agreement is to rounding error rather than bit for bit.
         panel = make_panel(seed=60, n=8, t=6, k=2)
         kappa = compute_ridge_kappa(panel) if method == "tw-mg-ridge" else None
         jk = jackknife(panel, method)
         for i in range(panel.n_units):
-            redo = estimate(panel.without_unit(i), method, kappa=kappa)
-            assert np.array_equal(jk.loo_estimates[i], redo.beta_hat)
+            redo = estimate(panel.without_unit(i), method, kappa=kappa).beta_hat
+            bound = 1e-12 * np.maximum(1.0, np.abs(redo))
+            assert np.all(np.abs(jk.loo_estimates[i] - redo) <= bound)
 
     def test_omega_formula(self):
         panel = make_panel(seed=61, n=9, t=5, k=2)
@@ -210,8 +213,11 @@ class TestJackknife:
         y = rng.normal(size=(3, 6))
         panel = PanelData.from_arrays(y, x, unit_labels=("A", "B", "C"))
         estimate(panel, "tw-mg")  # the full panel itself is fine
-        with pytest.raises(SingularCapacitance, match="unit 'A' removed"):
+        with pytest.raises(SingularCapacitance, match="unit 'A' removed") as got:
             jackknife(panel, "tw-mg")
+        with pytest.raises(SingularCapacitance) as want:
+            literal_loo(panel, "tw-mg")
+        assert str(got.value) == str(want.value)
 
 
 class TestConfidenceInterval:

@@ -1,0 +1,187 @@
+"""Downdated leave-one-out estimates against literal re-estimation.
+
+``inference.loo_estimates`` downdates every subsample's estimate from one
+demeaned panel; ``oracles.literal_loo`` rebuilds each subpanel and calls the
+public estimator. Both must give the same values to rounding error and, where
+a subsample fails, the same exception class, message and offending units.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import literal_loo, random_panel
+from panelmg import (
+    EstimationError,
+    Method,
+    PanelData,
+    RankDeficient,
+    SingularSystem,
+    TooFewPeriods,
+    compute_ridge_kappa,
+    jackknife,
+    poolability_test,
+)
+from panelmg.estimators import leave_one_out
+from panelmg.inference import loo_estimates
+from panelmg.panel import double_demean
+from panelmg.simulation import _replication
+
+METHODS = ["tw-mg", "tw-mg-ridge", "tw-pooled", "mg"]
+
+
+def outcome(fn):
+    """The estimates ``fn`` returns, or (class, message, units) of its error."""
+    try:
+        return fn()
+    except EstimationError as exc:
+        return type(exc), str(exc), getattr(exc, "units", None)
+
+
+def fast_loo(panel, method, kappa=None):
+    m = Method(method)
+    return loo_estimates(panel, [m], kappa)[m]
+
+
+def assert_same_outcome(panel, method, kappa=None, rel=1e-10):
+    """Same error, or values within rel * max(1, |b|), |b| the largest estimate."""
+    want = outcome(lambda: literal_loo(panel, method, kappa))
+    got = outcome(lambda: fast_loo(panel, method, kappa))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+    return want
+
+
+@pytest.mark.parametrize("n", [3, 4, 50])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("extra_t", [2, None])
+@pytest.mark.parametrize(
+    "method,kappa",
+    [
+        ("tw-mg", None),
+        ("tw-mg-ridge", "computed"),
+        ("tw-mg-ridge", 0.05),
+        ("tw-pooled", None),
+        ("mg", None),
+    ],
+)
+def test_values_match_literal_reestimation(n, k, extra_t, method, kappa):
+    t = 10 if extra_t is None else k + extra_t
+    y, x, _ = random_panel(100 * k + 10 * t + n, n, t, k)
+    panel = PanelData.from_arrays(y, x)
+    if kappa == "computed":
+        kappa = compute_ridge_kappa(panel)
+    want = assert_same_outcome(panel, method, kappa)
+    if (n - 1) * (t - k - 1) >= t - 1:
+        # otherwise a subsample's dummy-variable design has more columns
+        # than rows, and the two-way estimators may fail on it
+        assert isinstance(want, np.ndarray)
+
+
+class TestErrorsMatchLiteralReestimation:
+    """A collinear subsample is compared in test_inference's
+    TestJackknife.test_subsample_failure_names_removed_unit."""
+
+    @pytest.mark.parametrize("method", ["tw-mg", "mg"])
+    def test_block_scale_drops_without_dominant_unit(self, method):
+        # u2's block is tiny only next to u1's; dropping either one passes
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(5, 6, 1))
+        x[0] *= 1e4
+        x[1] *= 1e-2
+        panel = PanelData.from_arrays(rng.normal(size=(5, 6)), x)
+        want = assert_same_outcome(panel, method)
+        assert want[0] is RankDeficient and want[2] == ("u2",)
+        assert "unit 'u3' removed" in want[1]
+        _, flagged = leave_one_out(double_demean(panel), method)
+        assert not flagged[0]
+
+    def test_pooled_subsample_becomes_rank_deficient(self):
+        # x2 is pure two-way structure everywhere but in u3
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(5, 6, 2))
+        x[:, :, 1] = rng.normal(size=5)[:, None] + rng.normal(size=6)[None, :]
+        x[2, :, 1] = rng.normal(size=6)
+        panel = PanelData.from_arrays(rng.normal(size=(5, 6)), x)
+        want = assert_same_outcome(panel, "tw-pooled")
+        assert want[0] is RankDeficient and "unit 'u3' removed" in want[1]
+        assert want[2] == ("u1", "u2", "u4", "u5")
+
+    @pytest.mark.parametrize("method", ["tw-mg", "mg"])
+    def test_too_few_periods(self, method):
+        y, x, _ = random_panel(3, 6, 3, 2)
+        want = assert_same_outcome(PanelData.from_arrays(y, x), method)
+        assert want[0] is TooFewPeriods and "unit 'u1' removed" in want[1]
+
+    def test_ridge_singular_system(self):
+        y, x, _ = random_panel(4, 6, 5, 1)
+        x[3] = 2.0
+        want = assert_same_outcome(PanelData.from_arrays(y, x), "tw-mg-ridge", 0.0)
+        assert want[0] is SingularSystem and "'u4'" in want[1]
+
+    def test_first_failure_follows_method_order(self):
+        y, x, _ = random_panel(3, 6, 3, 2)
+        panel = PanelData.from_arrays(y, x)
+        with pytest.raises(TooFewPeriods, match="unit 'u1' removed"):
+            loo_estimates(panel, [Method.TW_POOLED, Method.TW_MG], None)
+
+    def test_negative_ridge_shift_is_refused_like_the_estimator(self):
+        panel = PanelData.from_arrays(*random_panel(8, 6, 5, 1)[:2])
+        with pytest.raises(ValueError, match="kappa must be nonnegative"):
+            fast_loo(panel, "tw-mg-ridge", -1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    k=st.integers(1, 3),
+    extra_t=st.integers(1, 6),
+    method=st.sampled_from(METHODS),
+    x_exp=st.sampled_from([-4, 0, 4]),
+    y_exp=st.sampled_from([-4, 0, 4]),
+)
+@example(seed=1, n=3, k=1, extra_t=2, method="tw-mg", x_exp=4, y_exp=-4)
+@example(seed=2, n=3, k=2, extra_t=4, method="tw-mg-ridge", x_exp=-4, y_exp=4)
+@example(seed=3, n=3, k=3, extra_t=5, method="tw-pooled", x_exp=4, y_exp=4)
+@example(seed=4, n=3, k=1, extra_t=3, method="mg", x_exp=-4, y_exp=-4)
+def test_matches_literal_on_random_designs(seed, n, k, extra_t, method, x_exp, y_exp):
+    # Nearly square designs are ill-conditioned for both paths alike, so the
+    # bound here is the 1e-8 agreement the oracles are held to.
+    y, x, _ = random_panel(seed, n, k + extra_t, k)
+    panel = PanelData.from_arrays(y * 10.0**y_exp, x * 10.0**x_exp)
+    kappa = compute_ridge_kappa(panel) if method == "tw-mg-ridge" else None
+    assert_same_outcome(panel, method, kappa, rel=1e-8)
+
+
+class TestNoSubpanelIsRebuilt:
+    @pytest.fixture(autouse=True)
+    def refuse_subpanels(self, monkeypatch):
+        def refuse(self, index):
+            raise AssertionError("subpanel rebuilt")
+
+        monkeypatch.setattr(PanelData, "without_unit", refuse)
+
+    @pytest.fixture
+    def panel(self):
+        return PanelData.from_arrays(*random_panel(31, 40, 6, 2)[:2])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_jackknife(self, panel, method):
+        assert jackknife(panel, method).loo_estimates.shape == (40, 2)
+
+    @pytest.mark.parametrize("use_ridge", [False, True])
+    def test_poolability_test(self, panel, use_ridge):
+        assert poolability_test(panel, use_ridge=use_ridge).joint_stat >= 0.0
+
+    def test_simulation_replication(self):
+        result = _replication((4, 40, 6, tuple(METHODS), 123, 0.95, 0.05))
+        assert set(result["covered"]) == {"tw-mg", "tw-mg-ridge"}
+
+    def test_recomputed_ridge_shift_reestimates_literally(self, panel):
+        with pytest.raises(AssertionError, match="subpanel rebuilt"):
+            jackknife(panel, "tw-mg-ridge", kappa_policy="recomputed")
