@@ -278,8 +278,8 @@ def leave_one_out(
 
     Returns the (N, K) leave-one-out estimates in unit order and an (N,)
     mask of subsamples whose value must come from re-estimating that
-    subsample instead: one of its checks fails or lands within the
-    ``SCREEN_TOLERANCE`` margin of its threshold, or its value is not
+    subsample instead: one of its checks fails or lands within its margin
+    (see ``gram.SCREEN_TOLERANCE``) of its threshold, or its value is not
     finite. Re-estimating a flagged subsample raises exactly the error the
     estimator raises there. Unflagged values agree with re-estimation to
     rounding error. ``kappa`` is the ridge shift held fixed on every

@@ -39,10 +39,21 @@ __all__ = ["GramFactorization", "factorize", "loo_two_way"]
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 # Leave-one-out values are downdated only where every check clears its
-# threshold by this factor; the rest are re-estimated literally. The margin
-# absorbs rounding differences between a downdated check and the literal one
-# and keeps downdated values to reciprocal conditions of at least 1e-6.
+# threshold by a margin; the rest are re-estimated literally. The deleted
+# unit's block and each capacitance clear it by SCREEN_TOLERANCE (reciprocal
+# condition 1e-6): the deleted unit's term is subtracted from the full-sample
+# sums and the capacitance is solved, so both cost accuracy as they weaken.
+# A kept block enters the downdated sums as it enters the literal fit, so it
+# clears the literal threshold by KEPT_BLOCK_MARGIN, which absorbs only the
+# rounding between the screen and the literal check.
 SCREEN_TOLERANCE = 1e4 * DEFAULT_RANK_TOLERANCE
+KEPT_BLOCK_MARGIN = 10.0
+
+
+def _max_without_each(values: np.ndarray) -> np.ndarray:
+    """The largest entry of ``values`` with each entry left out in turn."""
+    second, first = np.partition(values, -2)[-2:]
+    return np.where(values == first, second, first)
 
 
 def sym_eig_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,15 +199,20 @@ def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
 
     Deleting unit j leaves every other block as it is, so subsample j's
     reference scale is the largest block eigenvalue among the other units,
-    read from the top two. Every unit's smallest eigenvalue is held to that
-    scale, the deleted unit's too: its inverse enters the full-sample sums
-    the subsample values are downdated from.
+    and its smallest kept eigenvalue the smallest among them. The deleted
+    unit's own block is held to ``SCREEN_TOLERANCE`` times that scale, as its
+    inverse is subtracted from the full-sample sums; the kept blocks to
+    ``KEPT_BLOCK_MARGIN`` times the literal threshold. So one weak but valid
+    unit flags only its own subsample.
     """
     lo, hi = sym_eig_bounds(blocks)
-    top = int(np.argmax(hi))
-    scale = np.full(hi.shape, hi[top])
-    scale[top] = np.max(np.delete(hi, top))
-    return ~((scale > 0.0) & (lo.min() >= SCREEN_TOLERANCE * scale))
+    scale = _max_without_each(hi)
+    kept_lo = -_max_without_each(-lo)
+    return ~(
+        (scale > 0.0)
+        & (lo >= SCREEN_TOLERANCE * scale)
+        & (kept_lo >= KEPT_BLOCK_MARGIN * DEFAULT_RANK_TOLERANCE * scale)
+    )
 
 
 def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray]:

@@ -204,11 +204,21 @@ def double_demean(panel: PanelData) -> DemeanedPanel:
     return DemeanedPanel(y_dd=y_dd, x_dd=x_dd, y_unit_dm=y_unit, x_unit_dm=x_unit)
 
 
-def _coerce_value(raw: object, what: str) -> float:
+def _coerce_value(raw: object, row_no: int, unit: str, time: str) -> float:
     try:
         return float(raw)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"cannot parse {what}: {raw!r}") from exc
+        raise MalformedInput(
+            f"cannot parse value in record {row_no} (unit '{unit}', time '{time}'): {raw!r}"
+        ) from exc
+
+
+def _index_labels(raw: list[object]) -> tuple[list[str], tuple[str, ...], np.ndarray]:
+    """Stripped labels, the distinct ones by first appearance, and each one's index."""
+    labels = list(map(str.strip, map(str, raw)))
+    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    return labels, tuple(index), codes
 
 
 def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
@@ -218,8 +228,11 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
     ----------
     records : iterable of sequences
         Each record is ``(unit, time, y, x1, ..., xK)``. Unit and time are
-        treated as opaque labels; values may be numbers or numeric strings.
-        Units and periods are ordered by first appearance.
+        treated as opaque labels (converted with ``str`` and stripped);
+        values may be numbers or anything ``float`` parses. Units and periods
+        are ordered by first appearance. The iterable is read once, up to
+        the first record of the wrong width; records are not held, only
+        their labels and values.
 
     Returns
     -------
@@ -237,65 +250,94 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
         A parsed value is NaN or infinite.
     TooSmall
         Fewer than 2 units or 2 periods.
-    """
-    unit_order: dict[str, int] = {}
-    time_order: dict[str, int] = {}
-    cells: dict[tuple[int, int], tuple[float, ...]] = {}
-    n_fields: int | None = None
 
+    The first offending record wins, and its number (counted from 1) is in
+    the message. Within one record a wrong width comes before an unparseable
+    value, which comes before a repeated cell. After those come too few
+    units or periods, the first missing cell (units, then periods, in order
+    of first appearance), and non-finite values.
+    """
+    units: list[object] = []
+    times: list[object] = []
+    raw: list[object] = []
+    n_fields: int | None = None
+    ragged: str | None = None
     for row_no, rec in enumerate(records, start=1):
-        rec = list(rec)
-        if n_fields is None:
+        if len(rec) != n_fields:
+            if n_fields is not None:
+                ragged = f"record {row_no} has {len(rec)} fields, expected {n_fields}"
+                break
             n_fields = len(rec)
             if n_fields < 4:
                 raise MalformedInput(
                     "records need at least 4 fields (unit, time, y, x1), "
                     f"got {n_fields}"
                 )
-        elif len(rec) != n_fields:
-            raise MalformedInput(
-                f"record {row_no} has {len(rec)} fields, expected {n_fields}"
-            )
-        unit = str(rec[0]).strip()
-        time = str(rec[1]).strip()
-        values = tuple(
-            _coerce_value(v, f"value in record {row_no} (unit '{unit}', time '{time}')")
-            for v in rec[2:]
-        )
-        ui = unit_order.setdefault(unit, len(unit_order))
-        ti = time_order.setdefault(time, len(time_order))
-        if (ui, ti) in cells:
-            raise DuplicateCell(f"duplicate cell for unit '{unit}', time '{time}'")
-        cells[(ui, ti)] = values
+        units.append(rec[0])
+        times.append(rec[1])
+        raw.extend(rec[2:])
 
     if n_fields is None:
         raise MalformedInput("no records supplied")
+    n_rec, width = len(units), n_fields - 2
+    unit_of, unit_labels, unit_idx = _index_labels(units)
+    time_of, time_labels, time_idx = _index_labels(times)
+    n, t = len(unit_labels), len(time_labels)
+    cell = unit_idx * t + time_idx
 
-    units = list(unit_order)
-    times = list(time_order)
-    n, t, k = len(units), len(times), n_fields - 3
+    counts = np.bincount(cell, minlength=n * t)
+    repeat = None
+    if counts.max() > 1:
+        seen_before = np.ones(n_rec, dtype=bool)
+        seen_before[np.unique(cell, return_index=True)[1]] = False
+        repeat = int(np.argmax(seen_before))
+    try:
+        values = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
+    except (TypeError, ValueError, OverflowError):
+        # Only now is each value parsed alone: the first that fails raises,
+        # unless the first repeated cell is in an earlier record.
+        stop = len(raw) if repeat is None else (repeat + 1) * width
+        for i in range(stop):
+            row = i // width
+            _coerce_value(raw[i], row + 1, unit_of[row], time_of[row])
+        if repeat is None:
+            raise
+    if repeat is not None:
+        raise DuplicateCell(
+            f"duplicate cell for unit '{unit_of[repeat]}', time '{time_of[repeat]}'"
+        )
+    if ragged is not None:
+        raise MalformedInput(ragged)
+
     if n < 2 or t < 2:
         raise TooSmall(f"panel must have N >= 2 and T >= 2, got N={n}, T={t}")
+    if n_rec < n * t:
+        ui, ti = divmod(int(np.argmin(counts)), t)
+        raise UnbalancedPanel(
+            f"missing observation for unit '{unit_labels[ui]}' at time '{time_labels[ti]}'"
+        )
 
-    y = np.empty((n, t))
-    x = np.empty((n, t, k))
-    for ui in range(n):
-        for ti in range(t):
-            vals = cells.get((ui, ti))
-            if vals is None:
-                raise UnbalancedPanel(
-                    f"missing observation for unit '{units[ui]}' at time '{times[ti]}'"
-                )
-            y[ui, ti] = vals[0]
-            x[ui, ti, :] = vals[1:]
-
-    return PanelData(y=y, x=x, unit_labels=tuple(units), time_labels=tuple(times))
+    full = np.empty((n * t, width))
+    full[cell] = values.reshape(n_rec, width)
+    return PanelData(
+        y=full[:, 0].reshape(n, t),
+        x=full[:, 1:].reshape(n, t, width - 1),
+        unit_labels=unit_labels,
+        time_labels=time_labels,
+    )
 
 
 def read_csv(path: str | Path) -> PanelData:
-    """Read a panel from a CSV file with header ``unit,time,y,x1,...,xK``."""
+    """Read a panel from a CSV file with header ``unit,time,y,x1,...,xK``.
+
+    The file is UTF-8, with or without a byte-order mark. Rows whose cells
+    are all blank are skipped, and the rest stream to ``validate_panel``
+    without a list of rows being built. As there, the first offending record
+    wins, and record numbers count non-blank data rows, not file lines. A
+    row of the wrong width ends the reading.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -308,5 +350,4 @@ def read_csv(path: str | Path) -> PanelData:
                 f"{path}: malformed header {header!r}; expected "
                 "unit,time,y,x1,...,xK"
             )
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
-    return validate_panel(rows)
+        return validate_panel(row for row in reader if "".join(row).strip())

@@ -130,3 +130,72 @@ def literal_loo(panel, method, kappa=None):
                 raise type(exc)(msg, units=exc.units) from exc
             raise type(exc)(msg) from exc
     return out
+
+
+def literal_validate_panel(records):
+    """``validate_panel`` as a record-by-record loop over a dict of cells.
+
+    Each record is checked for width, parsed, and checked for a repeated cell
+    before the next is read, so the first offending record raises; balance is
+    checked cell by cell in unit-major, first-appearance order.
+    """
+    from panelmg import PanelData
+    from panelmg.errors import DuplicateCell, MalformedInput, TooSmall, UnbalancedPanel
+
+    def coerce(raw, what):
+        try:
+            return float(raw)
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"cannot parse {what}: {raw!r}") from exc
+
+    unit_order = {}
+    time_order = {}
+    cells = {}
+    n_fields = None
+    for row_no, rec in enumerate(records, start=1):
+        rec = list(rec)
+        if n_fields is None:
+            n_fields = len(rec)
+            if n_fields < 4:
+                raise MalformedInput(
+                    "records need at least 4 fields (unit, time, y, x1), "
+                    f"got {n_fields}"
+                )
+        elif len(rec) != n_fields:
+            raise MalformedInput(
+                f"record {row_no} has {len(rec)} fields, expected {n_fields}"
+            )
+        unit = str(rec[0]).strip()
+        time = str(rec[1]).strip()
+        values = tuple(
+            coerce(v, f"value in record {row_no} (unit '{unit}', time '{time}')")
+            for v in rec[2:]
+        )
+        ui = unit_order.setdefault(unit, len(unit_order))
+        ti = time_order.setdefault(time, len(time_order))
+        if (ui, ti) in cells:
+            raise DuplicateCell(f"duplicate cell for unit '{unit}', time '{time}'")
+        cells[(ui, ti)] = values
+
+    if n_fields is None:
+        raise MalformedInput("no records supplied")
+
+    units = list(unit_order)
+    times = list(time_order)
+    n, t, k = len(units), len(times), n_fields - 3
+    if n < 2 or t < 2:
+        raise TooSmall(f"panel must have N >= 2 and T >= 2, got N={n}, T={t}")
+
+    y = np.empty((n, t))
+    x = np.empty((n, t, k))
+    for ui in range(n):
+        for ti in range(t):
+            vals = cells.get((ui, ti))
+            if vals is None:
+                raise UnbalancedPanel(
+                    f"missing observation for unit '{units[ui]}' at time '{times[ti]}'"
+                )
+            y[ui, ti] = vals[0]
+            x[ui, ti, :] = vals[1:]
+
+    return PanelData(y=y, x=x, unit_labels=tuple(units), time_labels=tuple(times))

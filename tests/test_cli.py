@@ -241,6 +241,50 @@ class TestEstimateErrors:
         assert "usage error" in capsys.readouterr().err
 
 
+CLEAN_ROWS = ["unit,time,y,x1"] + [
+    f"u{i},p{s},{i + s * 0.5},{i * s + 1.25}" for i in (1, 2, 3) for s in (1, 2, 3)
+]
+
+
+def faulty_csv(path, kind):
+    """The 3x3 panel of CLEAN_ROWS with one fault; row 0 is the header."""
+    rows = list(CLEAN_ROWS)
+    if kind == "ragged":
+        rows[4] = "u2,p1,2.5"
+    elif kind == "unparseable":
+        rows[2] = "u1,p2,abc,1.0"
+    elif kind == "duplicate":
+        rows.insert(3, "u1,p1,9.0,9.0")
+    elif kind == "unbalanced":
+        del rows[9]
+    elif kind == "non-finite":
+        rows[4] = "u2,p1,2.5,nan"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+class TestFaultyInputBytes:
+    """The stderr line and exit code of both commands on faulty CSVs."""
+
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("ragged", "record 4 has 3 fields, expected 4"),
+            ("unparseable", "cannot parse value in record 2 (unit 'u1', time 'p2'): 'abc'"),
+            ("duplicate", "duplicate cell for unit 'u1', time 'p1'"),
+            ("unbalanced", "missing observation for unit 'u3' at time 'p3'"),
+            ("non-finite", "non-finite x1 at unit 'u2', time 'p1'"),
+        ],
+    )
+    def test_stderr_and_exit_code(self, tmp_path, capsys, command, kind, message):
+        path = faulty_csv(tmp_path / f"{kind}.csv", kind)
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {message}\n"
+        assert captured.out == ""
+
+
 def tiny_simulate(prefix):
     return [
         "simulate",

@@ -24,6 +24,7 @@ from panelmg import (
     poolability_test,
 )
 from panelmg.estimators import leave_one_out
+from panelmg.gram import sym_eig_bounds
 from panelmg.inference import loo_estimates
 from panelmg.panel import double_demean
 from panelmg.simulation import _replication
@@ -133,6 +134,45 @@ class TestErrorsMatchLiteralReestimation:
         panel = PanelData.from_arrays(*random_panel(8, 6, 5, 1)[:2])
         with pytest.raises(ValueError, match="kappa must be nonnegative"):
             fast_loo(panel, "tw-mg-ridge", -1.0)
+
+
+def weak_unit_panel(rcond):
+    """400x10x2 panel whose unit u9 has x2 = x1 + noise, with the noise
+    scaled so that u9's block has reciprocal condition ``rcond`` against the
+    panel's largest block eigenvalue."""
+    y, x, _ = random_panel(7, 400, 10, 2)
+    noise = np.random.default_rng(1).normal(size=10)
+
+    def condition(scale):
+        x[8, :, 1] = x[8, :, 0] + scale * noise
+        xu = x - x.mean(axis=1, keepdims=True)
+        lo, hi = sym_eig_bounds(np.einsum("ntk,ntl->nkl", xu, xu))
+        return lo[8] / hi.max()
+
+    # for small noise the condition grows with the square of its scale
+    got = condition(1e-3 * np.sqrt(rcond / condition(1e-3)))
+    assert abs(got / rcond - 1.0) < 0.01
+    return PanelData.from_arrays(y, x)
+
+
+class TestWeakUnit:
+    """One weak but valid unit flags only its own subsample."""
+
+    @pytest.mark.parametrize("rcond", [2e-9, 1e-8, 1e-7, 5e-7])
+    @pytest.mark.parametrize("method", ["tw-mg", "mg"])
+    def test_only_its_own_subsample_is_reestimated(self, rcond, method):
+        panel = weak_unit_panel(rcond)
+        _, flagged = leave_one_out(double_demean(panel), method)
+        assert np.flatnonzero(flagged).tolist() == [8]
+        assert_same_outcome(panel, method, rel=1e-8)
+
+    @pytest.mark.parametrize("method", ["tw-mg", "mg"])
+    def test_unit_below_the_threshold_still_fails(self, method):
+        panel = weak_unit_panel(3e-11)
+        assert leave_one_out(double_demean(panel), method)[1].all()
+        want = assert_same_outcome(panel, method)
+        assert want[0] is RankDeficient and want[2] == ("u9",)
+        assert "unit 'u1' removed" in want[1]
 
 
 @settings(max_examples=80, deadline=None)

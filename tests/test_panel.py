@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panelmg import (
@@ -16,7 +16,7 @@ from panelmg import (
     read_csv,
     validate_panel,
 )
-from oracles import projection_double_demean, random_panel
+from oracles import literal_validate_panel, projection_double_demean, random_panel
 
 
 def make_panel(seed=0, n=6, t=5, k=2):
@@ -191,6 +191,100 @@ class TestValidatePanel:
             validate_panel([("a", "1", 0, 0), ("a", "2", 0, 0)])
 
 
+def ingest_outcome(load, source):
+    """Panel bytes and labels, or the class and message of the error."""
+    try:
+        p = load(source)
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc), str(exc)
+    return p.y.tobytes(), p.x.tobytes(), p.unit_labels, p.time_labels
+
+
+# Cells that parse, with Python's float rules: padding, underscores, numpy
+# and integer types.
+GOOD_CELLS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-1000, 1000),
+    st.floats(-1e3, 1e3).map(np.float64),
+    st.sampled_from([" 2.5 ", "1_000", "-0.0", "3e2", "\t7"]),
+)
+# Cells that fail to parse or parse to a non-finite value.
+BAD_CELLS = st.sampled_from(
+    ["zero", "", " ", "1,5", None, "nan", "inf", "-Infinity", float("nan"), np.float64("inf")]
+)
+
+
+@st.composite
+def faulty_records(draw):
+    """A balanced panel's records with zero or more faults applied in turn."""
+    n, t, k = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    units = ["a", "b", "10", "x y"][:n]
+    times = ["2000", "2001", "q3", "t4"][:t]
+    records = [
+        [u, s] + [draw(GOOD_CELLS) for _ in range(k + 1)] for u in units for s in times
+    ]
+    faults = ["ragged", "bad", "duplicate", "delete", "pad", "int-label", "shuffle"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if not records:
+            break
+        r = draw(st.integers(0, len(records) - 1))
+        rec = list(records[r])
+        if fault == "ragged":
+            rec = rec[:-1] if draw(st.booleans()) else rec + ["1.0"]
+        elif fault == "bad":
+            rec[draw(st.integers(2, len(rec) - 1))] = draw(BAD_CELLS)
+        elif fault == "duplicate":
+            copy = rec[:2] + [draw(GOOD_CELLS) for _ in rec[2:]]
+            records.insert(draw(st.integers(0, len(records))), copy)
+        elif fault == "delete":
+            del records[r]
+            continue
+        elif fault == "pad":
+            col = draw(st.integers(0, 1))
+            rec[col] = draw(st.sampled_from([" ", "  ", "\t"])) + str(rec[col]) + " "
+        elif fault == "int-label":
+            if rec[0] == "10":
+                rec[0] = 10
+        else:
+            records = draw(st.permutations(records))
+            continue
+        records[r] = tuple(rec) if draw(st.booleans()) else rec
+    return records
+
+
+class TestValidateAgainstLiteralLoop:
+    """``validate_panel`` against ``oracles.literal_validate_panel``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(faulty_records())
+    @example([["a", "1", "0", "0"], ["a", "1", "x", "0"], ["b"]])  # parse before repeat
+    @example([["a", "1", "0", "0"], ["a", "1", "0", "0"], ["b", "1", "x", "0"]])  # repeat first
+    @example([["a", "1", "0", "0"], ["b", "1", "0"], ["a", "1", "0", "0"]])  # width first
+    @example([["a", "1", "0", "0"], ["a", "2", "0", "0"]])  # too small before missing
+    @example([["a", "1", "0", "0"], ["b", "2", "0", "0"], ["c", "1", "nan", "0"]])
+    def test_same_panel_or_same_error(self, records):
+        assert ingest_outcome(validate_panel, records) == ingest_outcome(
+            literal_validate_panel, records
+        )
+
+    def test_stops_reading_at_the_first_ragged_record(self):
+        def records():
+            yield ("a", "1", 0, 0)
+            yield ("b", "1", 0)
+            raise AssertionError("read past the ragged record")
+
+        with pytest.raises(MalformedInput, match="record 2 has 3 fields, expected 4"):
+            validate_panel(records())
+
+    def test_overflowing_integer_raises_like_float(self):
+        records = [("a", "1", 10**400, 0), ("b", "1", 0, 0)]
+        assert ingest_outcome(validate_panel, records) == ingest_outcome(
+            literal_validate_panel, records
+        )
+        with pytest.raises(OverflowError):
+            validate_panel(records)
+
+
 class TestReadCsv:
     def write(self, path, text):
         path.write_text(text, encoding="utf-8")
@@ -230,6 +324,57 @@ class TestReadCsv:
         f = self.write(tmp_path / "empty.csv", "")
         with pytest.raises(MalformedInput, match="empty"):
             read_csv(f)
+
+    def test_blank_and_whitespace_rows_are_skipped_and_not_counted(self, tmp_path):
+        f = self.write(
+            tmp_path / "gaps.csv",
+            "unit,time,y,x1\n"
+            "a,1,1.0,2.0\n"
+            "\n"
+            ", ,,\n"
+            "a,2,3.0,4.0\n"
+            "  \n"
+            "b,1,5.0\n",
+        )
+        with pytest.raises(MalformedInput, match=r"^record 3 has 3 fields, expected 4$"):
+            read_csv(f)
+
+    def test_quoted_labels_may_hold_commas(self, tmp_path):
+        f = self.write(
+            tmp_path / "quoted.csv",
+            "unit,time,y,x1\n"
+            '"Smith, J","2001, Q1",1.0,2.0\n'
+            '"Smith, J",2002,3.0,4.0\n'
+            'b,"2001, Q1",5.0,6.0\n'
+            "b,2002,7.0,8.0\n",
+        )
+        p = read_csv(f)
+        assert p.unit_labels == ("Smith, J", "b")
+        assert p.time_labels == ("2001, Q1", "2002")
+        assert p.y.tolist() == [[1.0, 3.0], [5.0, 7.0]]
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        text = "unit,time,y,x1\na,1,1.0,2.0\na,2,3.0,4.0\nb,1,5.0,6.0\nb,2,7.0,8.0\n"
+        plain = read_csv(self.write(tmp_path / "plain.csv", text))
+        bom = tmp_path / "bom.csv"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        p = read_csv(bom)
+        assert (p.unit_labels, p.time_labels) == (plain.unit_labels, plain.time_labels)
+        assert p.y.tobytes() == plain.y.tobytes() and p.x.tobytes() == plain.x.tobytes()
+
+    def test_matches_literal_loop_on_csv_rows(self, tmp_path):
+        y, x, _ = random_panel(4, 7, 5, 2)
+        lines = ["unit,time,y,x1,x2"]
+        for s in range(5):  # period-major, so units interleave
+            for i in range(7):
+                vals = (float(y[i, s]), float(x[i, s, 0]), float(x[i, s, 1]))
+                lines.append(f" u{i} ,{s},{vals[0]!r},{vals[1]!r}, {vals[2]!r}")
+        f = self.write(tmp_path / "p.csv", "\n".join(lines) + "\n")
+        rows = [line.split(",") for line in lines[1:]]
+        got = ingest_outcome(read_csv, f)
+        assert got == ingest_outcome(literal_validate_panel, rows)
+        assert got[2] == tuple(f"u{i}" for i in range(7))
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
