@@ -147,8 +147,8 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_estimate(args: argparse.Namespace) -> int:
     if not 0.0 < args.level < 1.0:
         raise _UsageError(f"--level must be in (0, 1), got {args.level}")
-    if args.ridge_kappa is not None and args.ridge_kappa < 0:
-        raise _UsageError(f"--ridge-kappa must be >= 0, got {args.ridge_kappa}")
+    if args.ridge_kappa is not None and not 0.0 <= args.ridge_kappa < float("inf"):
+        raise _UsageError(f"--ridge-kappa must be finite and >= 0, got {args.ridge_kappa}")
     methods = _parse_estimators(args.estimators)
     panel = read_csv(args.input)
     names = _coef_names(panel.n_regressors)

@@ -25,11 +25,11 @@ from .errors import RankDeficient, SingularBlock, SingularCapacitance, SingularS
 from .gram import (
     DEFAULT_RANK_TOLERANCE,
     SCREEN_TOLERANCE,
-    factorize,
     loo_two_way,
     screen_loo_blocks,
     sym_eig_bounds,
     sym_inv,
+    two_way_slopes,
 )
 from .panel import DemeanedPanel, PanelData, double_demean
 
@@ -87,26 +87,11 @@ def _require_enough_periods(dp: DemeanedPanel) -> None:
         )
 
 
-def _unit_system(dp: DemeanedPanel) -> np.ndarray:
-    """Flat per-unit rhs (N K) of the two-way slope system, scaled like the Gram."""
-    t = dp.n_periods
-    rhs = np.einsum("ntk,nt->nk", dp.x_unit_dm, dp.y_dd) / t
-    return rhs.reshape(-1)
-
-
-def _two_way_slopes(
-    dp: DemeanedPanel, kappa: float, unit_labels: tuple[str, ...]
-) -> np.ndarray:
-    """Per-unit slopes (N, K) of the two-way system with ridge shift ``kappa``."""
-    fac = factorize(dp, kappa, unit_labels)
-    return fac.solve(_unit_system(dp)).reshape(dp.n_units, dp.n_regressors)
-
-
 def _tw_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
     """Per-unit slopes of the two-way mean-group estimator."""
     _require_enough_periods(dp)
     try:
-        return _two_way_slopes(dp, 0.0, unit_labels)
+        return two_way_slopes(dp, 0.0, unit_labels)
     except SingularBlock as exc:
         raise RankDeficient(
             f"per-unit design is rank deficient: {exc}", units=exc.units
@@ -146,7 +131,7 @@ def _tw_mg_ridge(
     shift keeps every per-unit block invertible whenever kappa > 0.
     """
     try:
-        return _two_way_slopes(dp, kappa, unit_labels)
+        return two_way_slopes(dp, kappa, unit_labels)
     except (SingularBlock, SingularCapacitance) as exc:
         raise SingularSystem(
             f"system is singular even with ridge shift kappa={kappa:g}: {exc}"
@@ -250,8 +235,9 @@ def estimate(
     """Estimate the slopes of ``panel`` with the estimator named by ``method``.
 
     ``kappa`` is honoured only by the ridge estimator; None there means the
-    data-driven shift of ``compute_ridge_kappa``. Mean-group estimates are
-    the average of the per-unit slopes.
+    data-driven shift of ``compute_ridge_kappa``, and a negative or
+    non-finite shift raises OutOfRange. Mean-group estimates are the
+    average of the per-unit slopes.
     """
     method = Method(method)
     dp = double_demean(panel)

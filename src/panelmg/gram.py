@@ -1,41 +1,43 @@
-"""Structured Gram matrix for the per-unit slope system and its solver.
+"""The two-way per-unit slope system and its solver.
 
-With unit and time means removed, the NK x NK Gram matrix of the stacked
-per-unit regressor blocks is
+With unit and time means removed, the per-unit slopes z_i solve the normal
+equations of the two-way dummy-variable regression,
 
-    Q = blockdiag(q_1, ..., q_N) - C C',        q_i = (1/T) xdot_i' xdot_i,
+    (q_i + kappa I) z_i - xdot_i' sum_j xdot_j z_j / (N T) = xdot_i' y_i / T,
 
-where xdot_i is the T x K unit-demeaned regressor matrix of unit i and row
-block i of the NK x T factor C is (N T)^{-1/2} xdot_i'. An optional ridge
-shift kappa is added to every diagonal block. Solves use the Woodbury
-identity with D = blockdiag(q_i + kappa I):
+where xdot_i is the T x K unit-demeaned regressor matrix of unit i,
+q_i = (1/T) xdot_i' xdot_i, y_i the double-demeaned outcome and kappa an
+optional ridge shift. This is the NK x NK system with Gram matrix
+blockdiag(q_i + kappa I) - C C', row block i of C being (N T)^{-1/2} xdot_i'
+(the Woodbury identity; Hager 1989). With the T-vector
+w = sum_j xdot_j z_j / (N T) and
 
-    (D - C C')^{-1} = D^{-1} + D^{-1} C (I_T - C' D^{-1} C)^{-1} C' D^{-1},
+    A_i = (q_i + kappa I)^{-1} xdot_i'  (K x T),    M_i = xdot_i A_i  (T x T),
 
-so one solve costs O(N K^3 + N K^2 T + T^3) instead of O((N K)^3). The T x T
-capacitance matrix I_T - C' D^{-1} C is symmetric positive definite whenever
-D and Q (+ kappa I) are, so both factorization stages can use Cholesky.
+each slope is z_i = A_i (y_i / T + w), and summing xdot_i z_i gives
 
-``factorize`` forms the blocks q_i and the factor C from a demeaned panel
-and factorizes them in one step; the NK x NK matrix is never assembled.
+    (I_T - sum M_i / (N T)) w = sum M_i y_i / (N T^2).
 
-Deleting one unit leaves every other block q_i as it is and changes only
-sums over units, so ``loo_two_way`` applies the same identity to all N
-leave-one-out subsamples at once by subtracting one unit's terms from the
-full-sample sums.
+The T x T capacitance matrix on the left is symmetric positive definite
+whenever the blocks and the whole system are, so it is checked by its
+eigenvalues and solved by Cholesky. A solve costs O(N K^3 + N K^2 T + T^3)
+instead of O((N K)^3); the NK x NK matrix is never assembled.
+
+``two_way_slopes`` solves the full sample. Deleting one unit leaves every
+other A_i and M_i as it is and changes only sums over units, so
+``loo_two_way`` solves all N leave-one-out subsamples at once from the same
+pieces by subtracting one unit's term from each full-sample sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularBlock, SingularCapacitance
+from .errors import OutOfRange, SingularBlock, SingularCapacitance
 from .panel import DemeanedPanel
 
-__all__ = ["GramFactorization", "factorize", "loo_two_way"]
+__all__ = ["two_way_slopes", "loo_two_way"]
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 # Leave-one-out values are downdated only where every check clears its
@@ -95,67 +97,43 @@ def sym_inv(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
-@dataclass(frozen=True)
-class GramFactorization:
-    """The factorized Gram matrix, ready for repeated solves."""
-
-    block_inv: np.ndarray  # (N, K, K) inverses of q_i + kappa I
-    coupling: np.ndarray  # (N, K, T) the factor C
-    coupling_solved: np.ndarray  # (N, K, T) D^{-1} C
-    capacitance_factor: tuple[np.ndarray, bool]  # Cholesky of I_T - C' D^{-1} C
-    condition_report: np.ndarray  # (N,) per-block reciprocal condition numbers
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve Q z = rhs for a flat length-NK right-hand side."""
-        n, k, _ = self.coupling.shape
-        r = np.asarray(rhs, dtype=np.float64)
-        if r.shape != (n * k,):
-            raise ValueError(f"rhs must have shape ({n * k},), got {r.shape}")
-        r = r.reshape(n, k)
-        z0 = np.einsum("nkl,nl->nk", self.block_inv, r)
-        t_vec = np.einsum("nkt,nk->t", self.coupling, z0)
-        s = cho_solve(self.capacitance_factor, t_vec)
-        z = z0 + np.einsum("nkt,t->nk", self.coupling_solved, s)
-        return z.reshape(n * k)
+def _shifted_blocks(xu: np.ndarray, kappa: float) -> np.ndarray:
+    """The per-unit blocks q_i + kappa I of unit-demeaned regressors (N, T, K)."""
+    if not 0.0 <= kappa < np.inf:
+        raise OutOfRange(f"kappa must be nonnegative and finite, got {kappa}")
+    t, k = xu.shape[1:]
+    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
+    if kappa != 0.0:
+        blocks = blocks + kappa * np.eye(k)
+    return blocks
 
 
-def factorize(
-    dp: DemeanedPanel,
-    kappa: float,
-    unit_labels: tuple[str, ...],
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> GramFactorization:
-    """Factorize the structured Gram matrix of a demeaned panel.
+def two_way_slopes(
+    dp: DemeanedPanel, kappa: float, unit_labels: tuple[str, ...]
+) -> np.ndarray:
+    """Per-unit slopes (N, K) of the two-way system with ridge shift ``kappa``.
 
-    The matrix is, up to the ridge shift ``kappa``, (1/T) Xdd' Xdd where Xdd
-    is the NT x NK block-regressor matrix after the two-way projection.
+    The system and its solve are derived in the module docstring.
     ``unit_labels`` name the offending units in a SingularBlock.
 
     Raises
     ------
-    ValueError
-        ``kappa`` is negative.
+    OutOfRange
+        ``kappa`` is negative or not finite.
     SingularBlock
         Some shifted diagonal block has smallest eigenvalue below
-        ``rank_tolerance`` times the largest block eigenvalue in the panel.
-        The panel-wide reference scale (rather than a per-block one) is what
-        lets a block that demeaning annihilated entirely be detected.
+        ``DEFAULT_RANK_TOLERANCE`` times the largest block eigenvalue in the
+        panel. The panel-wide reference scale (rather than a per-block one)
+        is what lets a block that demeaning annihilated entirely be detected.
     SingularCapacitance
         The T x T capacitance matrix fails the same reciprocal-condition
         threshold, i.e. the coupled system is singular even though every
         block is fine.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    xu = dp.x_unit_dm
-    n, t, k = xu.shape
-    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
-    c = np.ascontiguousarray(xu.transpose(0, 2, 1)) / np.sqrt(n * t)
-    if kappa != 0.0:
-        shifted = blocks + kappa * np.eye(k)
-    else:
-        shifted = blocks
-    lo, hi = sym_eig_bounds(shifted)
+    xu, y = dp.x_unit_dm, dp.y_dd
+    n, t, _ = xu.shape
+    blocks = _shifted_blocks(xu, kappa)
+    lo, hi = sym_eig_bounds(blocks)
     scale = float(np.max(hi, initial=0.0))
     if scale <= 0.0:
         raise SingularBlock(
@@ -164,34 +142,31 @@ def factorize(
             units=unit_labels,
         )
     rcond = lo / scale
-    bad = np.flatnonzero(rcond < rank_tolerance)
+    bad = np.flatnonzero(rcond < DEFAULT_RANK_TOLERANCE)
     if bad.size:
         labels = tuple(unit_labels[int(i)] for i in bad)
         raise SingularBlock(
             f"diagonal block(s) for unit(s) {', '.join(repr(l) for l in labels)} "
-            f"fail the condition threshold {rank_tolerance:g} "
+            f"fail the condition threshold {DEFAULT_RANK_TOLERANCE:g} "
             "(consider the ridge estimator)",
             units=labels,
         )
 
-    block_inv = sym_inv(shifted)
-    w = block_inv @ c  # (N, K, T): D^{-1} C per block
-    cap = np.eye(t) - np.einsum("nkt,nks->ts", c, w)
+    xt = np.ascontiguousarray(xu.transpose(0, 2, 1))  # (N, K, T): xdot_i' per unit
+    a = sym_inv(blocks) @ xt
+    ay = np.einsum("nkt,nt->nk", a, y)
+    # sums over units as (NK x T) matrix products; no (N, T, T) array of M_i
+    cap = np.eye(t) - xt.reshape(-1, t).T @ a.reshape(-1, t) / (n * t)
     cap = 0.5 * (cap + cap.T)
     cap_lo, cap_hi = np.linalg.eigvalsh(cap)[[0, -1]]
-    if cap_hi <= 0.0 or cap_lo / cap_hi < rank_tolerance:
+    if cap_hi <= 0.0 or cap_lo / cap_hi < DEFAULT_RANK_TOLERANCE:
         raise SingularCapacitance(
             "the cross-section coupling matrix is numerically singular; the "
             "double-demeaned regressors do not span all slope directions"
         )
-    cap_factor = cho_factor(cap, lower=True)
-    return GramFactorization(
-        block_inv=block_inv,
-        coupling=c,
-        coupling_solved=w,
-        capacitance_factor=cap_factor,
-        condition_report=rcond,
-    )
+    rhs = ay.reshape(-1) @ xt.reshape(-1, t) / (n * t * t)  # sum M_i y_i / (N T^2)
+    w = cho_solve(cho_factor(cap, lower=True), rhs)
+    return ay / t + a @ w
 
 
 def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -218,9 +193,9 @@ def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
 def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Mean slopes of the two-way system on every (N-1)-unit subsample.
 
-    With A_i = (q_i + kappa I)^{-1} xdot_i' (K x T), M_i = xdot_i A_i (T x T)
-    and a subsample of N - 1 units whose outcomes have period means m, the
-    Woodbury solve of ``factorize`` reduces to
+    With A_i and M_i as in the module docstring and a subsample of N - 1
+    units whose outcomes have period means m, the solve of
+    ``two_way_slopes`` reads
 
         w   = (I_T - sum M_i / ((N-1) T))^{-1} (sum M_i (y_i - m)) / ((N-1) T^2)
         z_i = A_i ((y_i - m) / T + w)
@@ -240,9 +215,7 @@ def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray
     """
     xu, y = dp.x_unit_dm, dp.y_dd
     n, t, k = xu.shape
-    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
-    if kappa != 0.0:
-        blocks = blocks + kappa * np.eye(k)
+    blocks = _shifted_blocks(xu, kappa)
     flagged = screen_loo_blocks(blocks)
     if flagged.all():
         return np.zeros((n, k)), flagged

@@ -334,20 +334,26 @@ def read_csv(path: str | Path) -> PanelData:
     are all blank are skipped, and the rest stream to ``validate_panel``
     without a list of rows being built. As there, the first offending record
     wins, and record numbers count non-blank data rows, not file lines. A
-    row of the wrong width ends the reading.
+    row of the wrong width ends the reading. Bytes that are not UTF-8 and
+    content the ``csv`` module cannot parse raise MalformedInput.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInput(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        expected_x = [f"x{i}" for i in range(1, max(len(header) - 3, 0) + 1)]
-        if len(header) < 4 or header[:3] != ["unit", "time", "y"] or header[3:] != expected_x:
-            raise MalformedInput(
-                f"{path}: malformed header {header!r}; expected "
-                "unit,time,y,x1,...,xK"
-            )
-        return validate_panel(row for row in reader if "".join(row).strip())
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MalformedInput(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            expected_x = [f"x{i}" for i in range(1, max(len(header) - 3, 0) + 1)]
+            if len(header) < 4 or header[:3] != ["unit", "time", "y"] or header[3:] != expected_x:
+                raise MalformedInput(
+                    f"{path}: malformed header {header!r}; expected "
+                    "unit,time,y,x1,...,xK"
+                )
+            return validate_panel(row for row in reader if "".join(row).strip())
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedInput(f"{path}: line {reader.line_num}: {exc}") from None

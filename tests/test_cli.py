@@ -226,6 +226,8 @@ class TestEstimateErrors:
             ["--estimators", ""],
             ["--ridge-kappa", "-1"],
             ["--threads", "1"],  # only simulate takes --threads
+            ["--ridge-kappa", "nan"],
+            ["--ridge-kappa", "inf"],
         ],
     )
     def test_usage_errors(self, panel_csv, capsys, extra):
@@ -259,7 +261,12 @@ def faulty_csv(path, kind):
         del rows[9]
     elif kind == "non-finite":
         rows[4] = "u2,p1,2.5,nan"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    elif kind == "not-utf8":
+        rows[2] = "u1,p2,\xff,1.0"
+    elif kind == "long-field":
+        rows[2] = 'u1,p2,"' + "9" * 131073 + '",1.0'
+    encoding = "latin-1" if kind == "not-utf8" else "utf-8"
+    path.write_text("\n".join(rows) + "\n", encoding=encoding)
     return path
 
 
@@ -275,13 +282,15 @@ class TestFaultyInputBytes:
             ("duplicate", "duplicate cell for unit 'u1', time 'p1'"),
             ("unbalanced", "missing observation for unit 'u3' at time 'p3'"),
             ("non-finite", "non-finite x1 at unit 'u2', time 'p1'"),
+            ("not-utf8", "{path}: not UTF-8 text (invalid start byte)"),
+            ("long-field", "{path}: line 3: field larger than field limit (131072)"),
         ],
     )
     def test_stderr_and_exit_code(self, tmp_path, capsys, command, kind, message):
         path = faulty_csv(tmp_path / f"{kind}.csv", kind)
         assert main([command, "--input", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"data error: {message}\n"
+        assert captured.err == f"data error: {message.format(path=path)}\n"
         assert captured.out == ""
 
 

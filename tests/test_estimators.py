@@ -5,6 +5,7 @@ import pytest
 
 from panelmg import (
     Method,
+    OutOfRange,
     PanelData,
     RankDeficient,
     SingularCapacitance,
@@ -12,6 +13,7 @@ from panelmg import (
     compute_ridge_kappa,
     double_demean,
     estimate,
+    jackknife,
 )
 from oracles import (
     lsdv_pooled_slopes,
@@ -102,6 +104,14 @@ class TestRidge:
         panel, _ = make_panel()
         with pytest.raises(ValueError):
             estimate(panel, "tw-mg-ridge", kappa=-0.1)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -1.0])
+    def test_bad_ridge_shift_is_out_of_range(self, kappa):
+        panel, _ = make_panel()
+        with pytest.raises(OutOfRange, match="kappa must be nonnegative"):
+            estimate(panel, "tw-mg-ridge", kappa=kappa)
+        with pytest.raises(OutOfRange, match="kappa must be nonnegative"):
+            jackknife(panel, "tw-mg-ridge", kappa=kappa)
 
     def test_ridge_tolerates_t_equal_k_plus_one(self):
         panel, _ = make_panel(seed=9, n=8, t=2, k=1)

@@ -1,10 +1,10 @@
-"""Structured Gram matrix: assembly, Woodbury solves, and singularity gates."""
+"""The two-way slope solver: agreement with the dense system, and singularity gates."""
 
 import numpy as np
 import pytest
 
-from panelmg import PanelData, SingularBlock, SingularCapacitance, double_demean
-from panelmg.gram import factorize, sym_eig_bounds, sym_inv
+from panelmg import OutOfRange, PanelData, SingularBlock, SingularCapacitance, double_demean
+from panelmg.gram import sym_eig_bounds, sym_inv, two_way_slopes
 from oracles import dense_gram, random_panel
 
 
@@ -14,28 +14,20 @@ def demeaned(seed=0, n=6, t=5, k=2):
     return panel, double_demean(panel)
 
 
-def dense(dp, kappa=0.0):
-    return dense_gram(np.asarray(dp.x_unit_dm), kappa)
+def dense_slopes(dp, kappa=0.0):
+    """Per-unit slopes from the assembled NK x NK system."""
+    xu = np.asarray(dp.x_unit_dm)
+    n, t, k = xu.shape
+    rhs = np.einsum("ntk,nt->nk", xu, dp.y_dd).ravel() / t
+    return np.linalg.solve(dense_gram(xu, kappa), rhs).reshape(n, k)
 
 
 class TestAssembly:
-    def test_blocks_match_per_unit_gram(self):
-        panel, dp = demeaned(seed=1, n=5, t=6, k=2)
-        fac = factorize(dp, 0.0, panel.unit_labels)
-        for i in range(panel.n_units):
-            xi = dp.x_unit_dm[i]
-            np.testing.assert_allclose(
-                fac.block_inv[i] @ (xi.T @ xi / panel.n_periods), np.eye(2), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                fac.coupling[i], xi.T / np.sqrt(panel.n_units * panel.n_periods), atol=1e-12
-            )
-        assert fac.coupling.shape == (5, 2, 6)
-
     def test_negative_kappa_rejected(self):
         panel, dp = demeaned()
-        with pytest.raises(ValueError):
-            factorize(dp, -1e-9, panel.unit_labels)
+        for kappa in (-1e-9, np.nan, np.inf):
+            with pytest.raises(OutOfRange, match="kappa must be nonnegative"):
+                two_way_slopes(dp, kappa, panel.unit_labels)
 
 
 class TestSolve:
@@ -47,48 +39,22 @@ class TestSolve:
                     seed += 1
                     if n * (t - k - 1) < t - 1:
                         continue  # fewer observations than dummy-OLS columns
-                    panel, dp = demeaned(seed=seed, n=n, t=t, k=k)
-                    fac = factorize(dp, 0.0, panel.unit_labels)
-                    rng = np.random.default_rng(seed)
-                    rhs = rng.normal(size=n * k)
-                    got = fac.solve(rhs)
-                    want = np.linalg.solve(dense(dp), rhs)
-                    scale = np.abs(want).max()
-                    assert np.abs(got - want).max() <= 1e-8 * max(scale, 1.0)
+                    y, x, _ = random_panel(seed, n, t, k)
+                    for scale in (1e-4, 1.0, 1e4):
+                        panel = PanelData.from_arrays(y, scale * x)
+                        dp = double_demean(panel)
+                        for kappa in (0.0, 0.05, 0.1):
+                            got = two_way_slopes(dp, kappa, panel.unit_labels)
+                            want = dense_slopes(dp, kappa)
+                            assert np.all(
+                                np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))
+                            ), (k, n, t, scale, kappa)
 
     def test_solve_with_ridge_matches_dense(self):
         panel, dp = demeaned(seed=7, n=6, t=4, k=2)
-        rhs = np.random.default_rng(7).normal(size=12)
         np.testing.assert_allclose(
-            factorize(dp, 0.05, panel.unit_labels).solve(rhs),
-            np.linalg.solve(dense(dp, 0.05), rhs),
-            atol=1e-10,
+            two_way_slopes(dp, 0.05, panel.unit_labels), dense_slopes(dp, 0.05), atol=1e-10
         )
-
-    def test_implied_inverse_is_symmetric(self):
-        # solve(e_a) . e_b must equal solve(e_b) . e_a on sampled basis pairs
-        panel, dp = demeaned(seed=9, n=7, t=6, k=2)
-        fac = factorize(dp, 0.0, panel.unit_labels)
-        rng = np.random.default_rng(9)
-        dim = 14
-        for _ in range(10):
-            a, b = rng.integers(0, dim, size=2)
-            ea, eb = np.zeros(dim), np.zeros(dim)
-            ea[a], eb[b] = 1.0, 1.0
-            assert abs(fac.solve(ea)[b] - fac.solve(eb)[a]) <= 1e-8
-
-    def test_rhs_shape_checked(self):
-        panel, dp = demeaned(seed=10, n=4, t=4, k=1)
-        fac = factorize(dp, 0.0, panel.unit_labels)
-        with pytest.raises(ValueError, match="shape"):
-            fac.solve(np.zeros(5))
-
-    def test_condition_report_in_unit_interval(self):
-        panel, dp = demeaned(seed=11, n=5, t=5, k=2)
-        fac = factorize(dp, 0.0, panel.unit_labels)
-        assert fac.condition_report.shape == (5,)
-        assert np.all(fac.condition_report > 0.0)
-        assert np.all(fac.condition_report <= 1.0)
 
 
 class TestSingularity:
@@ -97,7 +63,7 @@ class TestSingularity:
         x[2, :, 0] = 4.2  # no within variation for the third unit
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularBlock, match="'u3'") as info:
-            factorize(double_demean(panel), 0.0, panel.unit_labels)
+            two_way_slopes(double_demean(panel), 0.0, panel.unit_labels)
         assert info.value.units == ("u3",)
         assert "ridge" in str(info.value)
 
@@ -106,7 +72,7 @@ class TestSingularity:
         x = np.tile(np.arange(1.0, 5.0)[:, None, None], (1, 5, 1))
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularBlock) as info:
-            factorize(double_demean(panel), 0.0, panel.unit_labels)
+            two_way_slopes(double_demean(panel), 0.0, panel.unit_labels)
         assert info.value.units == panel.unit_labels
 
     def test_cross_section_collinearity_hits_capacitance(self):
@@ -120,7 +86,7 @@ class TestSingularity:
         y = rng.normal(size=(4, 6))
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularCapacitance):
-            factorize(double_demean(panel), 0.0, panel.unit_labels)
+            two_way_slopes(double_demean(panel), 0.0, panel.unit_labels)
 
     def test_ridge_shift_rescues_capacitance(self):
         rng = np.random.default_rng(22)
@@ -128,19 +94,9 @@ class TestSingularity:
         g = np.array([1.0, 2.0, -1.5, 0.5])
         panel = PanelData.from_arrays(rng.normal(size=(4, 6)), np.outer(g, w)[:, :, None])
         dp = double_demean(panel)
-        fac = factorize(dp, 0.1, panel.unit_labels)
-        rhs = rng.normal(size=4)
         np.testing.assert_allclose(
-            fac.solve(rhs), np.linalg.solve(dense(dp, 0.1), rhs), atol=1e-10
+            two_way_slopes(dp, 0.1, panel.unit_labels), dense_slopes(dp, 0.1), atol=1e-10
         )
-
-    def test_rank_tolerance_is_adjustable(self):
-        y, x, _ = random_panel(23, 4, 5, 1)
-        panel = PanelData.from_arrays(y, x)
-        dp = double_demean(panel)
-        factorize(dp, 0.0, panel.unit_labels)  # fine at the default tolerance
-        with pytest.raises(SingularBlock):
-            factorize(dp, 0.0, panel.unit_labels, rank_tolerance=1.1)
 
 
 class TestSmallSymmetricKernels:

@@ -1,5 +1,7 @@
 """Panel construction, long-format validation, CSV ingestion, and demeaning."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -375,6 +377,20 @@ class TestReadCsv:
         got = ingest_outcome(read_csv, f)
         assert got == ingest_outcome(literal_validate_panel, rows)
         assert got[2] == tuple(f"u{i}" for i in range(7))
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (b"a,1,\xff,2.0", "not UTF-8 text"),
+            (b'a,1,"' + b"9" * 131073 + b'",2.0', "line 2: field larger than field limit"),
+        ],
+        ids=["not-utf8", "long-field"],
+    )
+    def test_unreadable_bytes_are_malformed_input(self, tmp_path, body, message):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"unit,time,y,x1\n" + body + b"\na,2,3.0,4.0\n")
+        with pytest.raises(MalformedInput, match=f"^{re.escape(str(f))}: {message}"):
+            read_csv(f)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
