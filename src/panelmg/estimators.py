@@ -100,7 +100,7 @@ def _tw_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
 
 def _ridge_kappa(dp: DemeanedPanel) -> float:
     xdd = dp.x_dd
-    m = np.einsum("ntk,ntl->nkl", xdd, xdd) / dp.n_periods
+    m = xdd.transpose(0, 2, 1) @ xdd / dp.n_periods
     k = m.shape[-1]
     if k == 1:
         dets = m[:, 0, 0]
@@ -172,11 +172,11 @@ def _tw_pooled_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
     """
     xdd, ydd, xu = dp.x_dd, dp.y_dd, dp.x_unit_dm
     n, _, k = xdd.shape
-    g = np.einsum("ntk,ntl->nkl", xdd, xdd)
+    g = xdd.transpose(0, 2, 1) @ xdd
     gy = np.einsum("ntk,nt->nk", xdd, ydd)
     sx = xdd.sum(axis=0) - xdd
     sy = ydd.sum(axis=0) - ydd
-    a = g.sum(axis=0) - g - np.einsum("ntk,ntl->nkl", sx, sx) / (n - 1)
+    a = g.sum(axis=0) - g - sx.transpose(0, 2, 1) @ sx / (n - 1)
     b = gy.sum(axis=0) - gy - np.einsum("ntk,nt->nk", sx, sy) / (n - 1)
     lo, hi = sym_eig_bounds(a)
     within = np.einsum("ntk,ntk->n", xu, xu)
@@ -190,7 +190,7 @@ def _standard_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
     """Per-unit slopes without time effects: per-unit OLS with intercept."""
     _require_enough_periods(dp)
     xu = dp.x_unit_dm
-    blocks = np.einsum("ntk,ntl->nkl", xu, xu)
+    blocks = xu.transpose(0, 2, 1) @ xu
     rhs = np.einsum("ntk,nt->nk", xu, dp.y_unit_dm)
     lo, hi = sym_eig_bounds(blocks)
     scale = float(np.max(hi, initial=0.0))
@@ -218,7 +218,7 @@ def _standard_mg_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
     """
     xu = dp.x_unit_dm
     n, _, k = xu.shape
-    blocks = np.einsum("ntk,ntl->nkl", xu, xu)
+    blocks = xu.transpose(0, 2, 1) @ xu
     flagged = screen_loo_blocks(blocks)
     if flagged.all():
         return np.zeros((n, k)), flagged

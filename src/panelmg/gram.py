@@ -27,6 +27,18 @@ instead of O((N K)^3); the NK x NK matrix is never assembled.
 other A_i and M_i as it is and changes only sums over units, so
 ``loo_two_way`` solves all N leave-one-out subsamples at once from the same
 pieces by subtracting one unit's term from each full-sample sum.
+
+Subsample j's capacitance is then cap_j = D + c M_j, with c = 1/((N-1) T)
+and one shared T x T matrix D = I_T - c sum_i M_i: a rank-K update, as
+M_j = xdot_j (q_j + kappa I)^{-1} xdot_j'. The Woodbury identity again
+turns each solve with cap_j into one with D, factored once, plus a K x K
+system per unit, so no (N, T, T) array is formed. As M_j is symmetric
+positive semidefinite for kappa >= 0, Weyl's inequalities give
+lambda_min(cap_j) >= lambda_min(D) and
+lambda_max(cap_j) <= lambda_max(D) + c tr(M_j). So one eigenvalue
+decomposition of D proves the capacitance check for every subsample it
+clears by that bound; only the rest have cap_j built and checked one by
+one.
 """
 
 from __future__ import annotations
@@ -102,7 +114,7 @@ def _shifted_blocks(xu: np.ndarray, kappa: float) -> np.ndarray:
     if not 0.0 <= kappa < np.inf:
         raise OutOfRange(f"kappa must be nonnegative and finite, got {kappa}")
     t, k = xu.shape[1:]
-    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t
+    blocks = xu.transpose(0, 2, 1) @ xu / t
     if kappa != 0.0:
         blocks = blocks + kappa * np.eye(k)
     return blocks
@@ -206,8 +218,33 @@ def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray
     unit's term.
     Outcomes enter through the full-sample double-demeaned y; the two-way
     projection of a subsample is blind to the shift from unit-demeaned y, and
-    the subsample's period means stay near zero. All N capacitance matrices
-    are checked and solved in one batch.
+    the subsample's period means stay near zero.
+
+    With c = 1 / ((N-1) T) and B_j = q_j + kappa I, subsample j's
+    capacitance is the rank-K update cap_j = D + c xdot_j B_j^{-1} xdot_j'
+    of one shared T x T matrix D = I_T - c sum_i M_i (all N units). So D is
+    factored once (by ``eigh``) and, by the Woodbury identity,
+
+        cap_j^{-1} r = D^{-1} r - c D^{-1} xdot_j H_j^{-1} xdot_j' D^{-1} r,
+        H_j = B_j + c xdot_j' D^{-1} xdot_j = B_j (I_K + c A_j D^{-1} xdot_j),
+
+    one symmetric K x K solve per subsample, followed by one step of
+    iterative refinement against cap_j itself (D may be worse conditioned
+    than cap_j, and the first solve's error grows with D's condition).
+
+    The capacitance check needs no per-subsample eigenvalues either. M_j is
+    positive semidefinite, so lambda_min(cap_j) >= lambda_min(D) and
+    lambda_max(cap_j) <= lambda_max(D) + c tr(M_j), with
+    tr(M_j) = tr(A_j xdot_j). If lambda_min(D) > 0 and
+    lambda_min(D) >= SCREEN_TOLERANCE (lambda_max(D) + c tr(M_j)), then
+
+        lambda_min(cap_j) >= lambda_min(D) >= SCREEN_TOLERANCE lambda_max(cap_j)
+
+    and lambda_max(cap_j) >= lambda_min(cap_j) > 0, which is the check on
+    cap_j itself. The subsamples this bound does not clear, and those whose
+    H_j has reciprocal condition below ``SCREEN_TOLERANCE``, have cap_j
+    built, checked by its eigenvalues and solved directly, so the flagged
+    set is the one the per-subsample check gives.
 
     Returns the (N, K) values and an (N,) mask of subsamples whose block or
     capacitance check lands below ``SCREEN_TOLERANCE``; their values are not
@@ -219,29 +256,59 @@ def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray
     flagged = screen_loo_blocks(blocks)
     if flagged.all():
         return np.zeros((n, k)), flagged
-    a = sym_inv(blocks) @ xu.transpose(0, 2, 1)
-    m = xu @ a
-    sum_m = m.sum(axis=0)
+    c = 1.0 / ((n - 1) * t)
+    xt = np.ascontiguousarray(xu.transpose(0, 2, 1))  # (N, K, T): xdot_i' per unit
+    a = sym_inv(blocks) @ xt
+    sum_m = xt.reshape(-1, t).T @ a.reshape(-1, t)
     means = (y.sum(axis=0) - y) / (n - 1)
+    ay = np.einsum("nkt,nt->nk", a, y)
+    a_dev = np.einsum("nkt,nt->nk", a, y - means)
     # sum of M_i (y_i - m) over the subsample: over all units, less unit j's
     rhs = (
-        np.einsum("nts,ns->t", m, y)
+        ay.reshape(-1) @ xt.reshape(-1, t)
         - means @ sum_m.T
-        - np.einsum("nts,ns->nt", m, y - means)
-    )
-    # The capacitance matrices take over m's memory, the largest array here.
-    cap = np.subtract(sum_m, m, out=m)
-    cap *= -1.0 / ((n - 1) * t)
-    cap.reshape(n, t * t)[:, :: t + 1] += 1.0
-    ev = np.linalg.eigvalsh(cap)
-    flagged |= ~((ev[:, -1] > 0.0) & (ev[:, 0] >= SCREEN_TOLERANCE * ev[:, -1]))
-    cap[flagged] = np.eye(t)
-    w = np.linalg.solve(cap, rhs[..., None] / ((n - 1) * t * t))[..., 0]
+        - np.einsum("ntk,nk->nt", xu, a_dev)
+    ) * (c / t)
 
-    ay = np.einsum("nkt,nt->nk", a, y)
-    sum_a = a.sum(axis=0) - a
+    d = np.eye(t) - c * sum_m
+    d = 0.5 * (d + d.T)
+    lam, vec = np.linalg.eigh(d)
+    bound = SCREEN_TOLERANCE * (lam[-1] + c * np.einsum("nkt,nkt->n", a, xt))
+    cleared = ~flagged & (lam[0] > 0.0) & (lam[0] >= bound)
+    w = np.zeros((n, t))
+    if cleared.any():
+        d_inv = (vec / lam) @ vec.T
+        d_inv_x = (xt.reshape(-1, t) @ d_inv).reshape(n, k, t)  # (D^{-1} xdot_j)'
+        h = blocks + c * (d_inv_x @ xu)
+        h_lo, h_hi = sym_eig_bounds(h)
+        cleared &= (h_lo > 0.0) & (h_lo >= SCREEN_TOLERANCE * h_hi)
+        h[~cleared] = np.eye(k)
+        h_inv = sym_inv(h)
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            u = v @ d_inv
+            g = np.einsum("nkl,nl->nk", h_inv, np.einsum("nkt,nt->nk", xt, u))
+            return u - c * np.einsum("nkt,nk->nt", d_inv_x, g)
+
+        w = solve(rhs)
+        # one step of iterative refinement on the residual r - cap_j w
+        cap_w = w @ d + c * np.einsum("ntk,nk->nt", xu, np.einsum("nkt,nt->nk", a, w))
+        w += solve(rhs - cap_w)
+    exact = np.flatnonzero(~flagged & ~cleared)
+    if exact.size:
+        cap = sum_m - xu[exact] @ a[exact]
+        cap *= -c
+        cap.reshape(-1, t * t)[:, :: t + 1] += 1.0
+        ev = np.linalg.eigvalsh(cap)
+        bad = ~((ev[:, -1] > 0.0) & (ev[:, 0] >= SCREEN_TOLERANCE * ev[:, -1]))
+        flagged[exact[bad]] = True
+        cap[bad] = np.eye(t)
+        w[exact] = np.linalg.solve(cap, rhs[exact][..., None])[..., 0]
+
+    a_tot = a.sum(axis=0)
     values = (
-        (ay.sum(axis=0) - ay - np.einsum("nkt,nt->nk", sum_a, means)) / t
-        + np.einsum("nkt,nt->nk", sum_a, w)
+        (ay.sum(axis=0) - a_dev) / t
+        + (w - means / t) @ a_tot.T
+        - np.einsum("nkt,nt->nk", a, w)
     ) / (n - 1)
     return values, flagged

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,7 +232,9 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
         values may be numbers or anything ``float`` parses. Units and periods
         are ordered by first appearance. The iterable is read once, up to
         the first record of the wrong width; records are not held, only
-        their labels and values.
+        their labels and values. A MalformedInput raised by the iterable
+        itself counts as an offending record in the place of the record it
+        could not produce.
 
     Returns
     -------
@@ -261,24 +263,31 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
     times: list[object] = []
     raw: list[object] = []
     n_fields: int | None = None
-    ragged: str | None = None
-    for row_no, rec in enumerate(records, start=1):
-        if len(rec) != n_fields:
-            if n_fields is not None:
-                ragged = f"record {row_no} has {len(rec)} fields, expected {n_fields}"
-                break
-            n_fields = len(rec)
-            if n_fields < 4:
-                raise MalformedInput(
-                    "records need at least 4 fields (unit, time, y, x1), "
-                    f"got {n_fields}"
-                )
-        units.append(rec[0])
-        times.append(rec[1])
-        raw.extend(rec[2:])
+    stop: MalformedInput | None = None
+    try:
+        for row_no, rec in enumerate(records, start=1):
+            if len(rec) != n_fields:
+                if n_fields is not None:
+                    stop = MalformedInput(
+                        f"record {row_no} has {len(rec)} fields, expected {n_fields}"
+                    )
+                    break
+                n_fields = len(rec)
+                if n_fields < 4:
+                    break
+            units.append(rec[0])
+            times.append(rec[1])
+            raw.extend(rec[2:])
+    except MalformedInput as exc:
+        # the iterable could not produce its next record
+        stop = exc
 
     if n_fields is None:
-        raise MalformedInput("no records supplied")
+        raise stop or MalformedInput("no records supplied")
+    if n_fields < 4:
+        raise MalformedInput(
+            f"records need at least 4 fields (unit, time, y, x1), got {n_fields}"
+        )
     n_rec, width = len(units), n_fields - 2
     unit_of, unit_labels, unit_idx = _index_labels(units)
     time_of, time_labels, time_idx = _index_labels(times)
@@ -306,8 +315,8 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
         raise DuplicateCell(
             f"duplicate cell for unit '{unit_of[repeat]}', time '{time_of[repeat]}'"
         )
-    if ragged is not None:
-        raise MalformedInput(ragged)
+    if stop is not None:
+        raise stop
 
     if n < 2 or t < 2:
         raise TooSmall(f"panel must have N >= 2 and T >= 2, got N={n}, T={t}")
@@ -334,26 +343,68 @@ def read_csv(path: str | Path) -> PanelData:
     are all blank are skipped, and the rest stream to ``validate_panel``
     without a list of rows being built. As there, the first offending record
     wins, and record numbers count non-blank data rows, not file lines. A
-    row of the wrong width ends the reading. Bytes that are not UTF-8 and
-    content the ``csv`` module cannot parse raise MalformedInput.
+    row of the wrong width ends the reading. A record holding bytes that are
+    not UTF-8, or content the ``csv`` module cannot parse, is offending and
+    raises MalformedInput.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise MalformedInput(f"{path}: file is empty") from None
-            header = [h.strip() for h in header]
-            expected_x = [f"x{i}" for i in range(1, max(len(header) - 3, 0) + 1)]
-            if len(header) < 4 or header[:3] != ["unit", "time", "y"] or header[3:] != expected_x:
-                raise MalformedInput(
-                    f"{path}: malformed header {header!r}; expected "
-                    "unit,time,y,x1,...,xK"
-                )
-            return validate_panel(row for row in reader if "".join(row).strip())
+        return _read_csv(path, None)
     except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise MalformedInput(f"{path}: line {reader.line_num}: {exc}") from None
+        bad_byte = MalformedInput(f"{path}: not UTF-8 text ({exc.reason})")
+    # The decoder reads ahead of the records, so the bad byte may lie past
+    # an earlier offending record. Read again with bad bytes kept as
+    # surrogates, up to the first row holding one.
+    return _read_csv(path, bad_byte)
+
+
+def _read_csv(path: Path, bad_byte: MalformedInput | None) -> PanelData:
+    """``read_csv``; with ``bad_byte``, the first row holding a byte that is
+    not UTF-8 raises it."""
+    errors = "strict" if bad_byte is None else "surrogateescape"
+    with path.open(newline="", encoding="utf-8-sig", errors=errors) as fh:
+        reader = csv.reader(fh)
+
+        def unparseable(exc: csv.Error) -> MalformedInput:
+            return MalformedInput(f"{path}: line {reader.line_num}: {exc}")
+
+        def records() -> Iterator[list[str]]:
+            try:
+                for row in reader:
+                    if "".join(row).strip():
+                        yield row
+            except csv.Error as exc:
+                raise unparseable(exc) from None
+
+        def until_bad_byte(rows: Iterable[list[str]]) -> Iterator[list[str]]:
+            for row in rows:
+                if not _is_utf8(row):
+                    raise bad_byte
+                yield row
+
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedInput(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise unparseable(exc) from None
+        if bad_byte is not None and not _is_utf8(header):
+            raise bad_byte
+        header = [h.strip() for h in header]
+        expected_x = [f"x{i}" for i in range(1, max(len(header) - 3, 0) + 1)]
+        if len(header) < 4 or header[:3] != ["unit", "time", "y"] or header[3:] != expected_x:
+            raise MalformedInput(
+                f"{path}: malformed header {header!r}; expected "
+                "unit,time,y,x1,...,xK"
+            )
+        rows = records()
+        return validate_panel(rows if bad_byte is None else until_bad_byte(rows))
+
+
+def _is_utf8(row: list[str]) -> bool:
+    """False if ``row`` holds a surrogate, i.e. a byte that was not UTF-8."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True

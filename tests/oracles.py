@@ -199,3 +199,42 @@ def literal_validate_panel(records):
             x[ui, ti, :] = vals[1:]
 
     return PanelData(y=y, x=x, unit_labels=tuple(units), time_labels=tuple(times))
+
+
+def batched_capacitance_loo(dp, kappa):
+    """``gram.loo_two_way`` with every subsample's T x T capacitance built.
+
+    Forms M_i = xdot_i A_i for every unit, then checks each subsample's
+    capacitance I_T - (sum M_i - M_j) / ((N-1) T) by its eigenvalues and
+    solves it, all as one (N, T, T) batch. Returns the same (N, K) values
+    and (N,) flags.
+    """
+    from panelmg.gram import SCREEN_TOLERANCE, _shifted_blocks, screen_loo_blocks, sym_inv
+
+    xu, y = dp.x_unit_dm, dp.y_dd
+    n, t, k = xu.shape
+    blocks = _shifted_blocks(xu, kappa)
+    flagged = screen_loo_blocks(blocks)
+    if flagged.all():
+        return np.zeros((n, k)), flagged
+    a = sym_inv(blocks) @ xu.transpose(0, 2, 1)
+    m = xu @ a
+    sum_m = m.sum(axis=0)
+    means = (y.sum(axis=0) - y) / (n - 1)
+    rhs = (
+        np.einsum("nts,ns->t", m, y)
+        - means @ sum_m.T
+        - np.einsum("nts,ns->nt", m, y - means)
+    )
+    cap = np.eye(t) - (sum_m - m) / ((n - 1) * t)
+    ev = np.linalg.eigvalsh(cap)
+    flagged |= ~((ev[:, -1] > 0.0) & (ev[:, 0] >= SCREEN_TOLERANCE * ev[:, -1]))
+    cap[flagged] = np.eye(t)
+    w = np.linalg.solve(cap, rhs[..., None] / ((n - 1) * t * t))[..., 0]
+    ay = np.einsum("nkt,nt->nk", a, y)
+    sum_a = a.sum(axis=0) - a
+    values = (
+        (ay.sum(axis=0) - ay - np.einsum("nkt,nt->nk", sum_a, means)) / t
+        + np.einsum("nkt,nt->nk", sum_a, w)
+    ) / (n - 1)
+    return values, flagged

@@ -293,6 +293,31 @@ class TestFaultyInputBytes:
         assert captured.err == f"data error: {message.format(path=path)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    @pytest.mark.parametrize("padding", [0, 3000], ids=["short", "past-first-chunk"])
+    @pytest.mark.parametrize(
+        "record1,message",
+        [
+            ("u1,p1,2.0", "records need at least 4 fields (unit, time, y, x1), got 3"),
+            ("u1,p1,2.0,1.0", "{path}: not UTF-8 text (invalid start byte)"),
+        ],
+        ids=["earlier-record-wins", "bad-byte-first"],
+    )
+    def test_bad_byte_is_reported_in_record_order(
+        self, tmp_path, capsys, command, padding, record1, message
+    ):
+        # record 3 holds 0xff; blank rows push it past the decoder's first chunk
+        path = tmp_path / "late-byte.csv"
+        path.write_bytes(
+            f"unit,time,y,x1\n{record1}\nu1,p2,2.0,3.0\n".encode()
+            + b" , \n" * padding
+            + b"u1,p3,\xff,4.0\n"
+        )
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {message.format(path=path)}\n"
+        assert captured.out == ""
+
 
 def tiny_simulate(prefix):
     return [

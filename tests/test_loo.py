@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import literal_loo, random_panel
+from oracles import batched_capacitance_loo, literal_loo, random_panel
 from panelmg import (
     EstimationError,
     Method,
@@ -24,7 +24,7 @@ from panelmg import (
     poolability_test,
 )
 from panelmg.estimators import leave_one_out
-from panelmg.gram import sym_eig_bounds
+from panelmg.gram import loo_two_way, sym_eig_bounds
 from panelmg.inference import loo_estimates
 from panelmg.panel import double_demean
 from panelmg.simulation import _replication
@@ -173,6 +173,131 @@ class TestWeakUnit:
         want = assert_same_outcome(panel, method)
         assert want[0] is RankDeficient and want[2] == ("u9",)
         assert "unit 'u1' removed" in want[1]
+
+
+def capacitance_solves(monkeypatch, dp, kappa):
+    """``loo_two_way``'s flags, and the number of subsamples whose T x T
+    capacitance it built and solved one by one."""
+    rows = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        rows.append(a.shape[0])
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", spy)
+        flagged = loo_two_way(dp, kappa)[1]
+    return flagged, sum(rows)
+
+
+def shared_capacitance_eigenvalues(dp, kappa):
+    """Eigenvalues of D = I_T - sum_i M_i / ((N-1) T) over all N units."""
+    xu = dp.x_unit_dm
+    n, t, k = xu.shape
+    blocks = np.einsum("ntk,ntl->nkl", xu, xu) / t + kappa * np.eye(k)
+    m = xu @ np.linalg.inv(blocks) @ xu.transpose(0, 2, 1)
+    return np.linalg.eigvalsh(np.eye(t) - m.sum(axis=0) / ((n - 1) * t))
+
+
+def assert_matches_batched_capacitance(dp, kappa):
+    values, flagged = loo_two_way(dp, kappa)
+    want, want_flagged = batched_capacitance_loo(dp, kappa)
+    assert np.array_equal(flagged, want_flagged)
+    keep = ~flagged
+    if keep.any():
+        err = np.abs(values[keep] - want[keep]).max()
+        assert err <= 1e-12 * max(1.0, np.abs(want[keep]).max())
+
+
+class TestRankKDowndate:
+    """``loo_two_way`` against the batch of (N, T, T) capacitances it replaces.
+
+    N starts at 8 on the grid: at N = 5 and T = K + 2 some subsample
+    capacitances have condition 1e5 to 1e6, where any two orders of
+    summation differ by up to 1e-10. Those panels take the exact
+    per-subsample path and are held to the literal oracle at 1e-8 below.
+    """
+
+    @pytest.mark.parametrize("n", [8, 40, 300])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("t", ["K+2", 10, 20])
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    def test_matches_batched_capacitance(self, n, k, t, kappa):
+        t = k + 2 if t == "K+2" else t
+        y, x, _ = random_panel(1000 * k + 10 * t + n, n, t, k)
+        assert_matches_batched_capacitance(double_demean(PanelData.from_arrays(y, x)), kappa)
+
+    def test_shared_matrix_worse_conditioned_than_every_subsample(self, monkeypatch):
+        # D has condition ~5e3 and no subsample's capacitance more than ~50,
+        # so the Woodbury solve needs its refinement step to reach 1e-12.
+        panel = PanelData.from_arrays(*random_panel(18938, 50, 5, 3)[:2])
+        dp = double_demean(panel)
+        lam = shared_capacitance_eigenvalues(dp, 0.0)
+        assert 0.0 < lam[0] < 1e-3 * lam[-1]
+        flagged, exact = capacitance_solves(monkeypatch, dp, 0.0)
+        assert exact == 0 and not flagged.any()
+        assert_matches_batched_capacitance(dp, 0.0)
+        assert_same_outcome(panel, "tw-mg", rel=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unscreened_subsamples_are_solved_exactly(self, monkeypatch, k):
+        # N = 5, T = K + 2: D is indefinite, so the bound clears no subsample
+        panel = PanelData.from_arrays(*random_panel(40 + k, 5, k + 2, k)[:2])
+        dp = double_demean(panel)
+        assert shared_capacitance_eigenvalues(dp, 0.0)[0] < 0.0
+        flagged, exact = capacitance_solves(monkeypatch, dp, 0.0)
+        assert exact == 5 - flagged.sum()
+        assert np.array_equal(flagged, batched_capacitance_loo(dp, 0.0)[1])
+        assert_same_outcome(panel, "tw-mg", rel=1e-8)
+
+    def test_bound_clears_some_subsamples_and_not_others(self, monkeypatch):
+        # Units 1-3 share one regressor direction with block q >> kappa, and
+        # unit 4 an orthogonal one with q = kappa. Along the shared direction
+        # D's eigenvalue is kappa / (q + kappa) = 1.25e-6; the bound needs
+        # 1e-6 (1 + c tr M_j), which is 1.333e-6 for units 1-3 and 1.167e-6
+        # for unit 4. So subsample 4 is cleared (its capacitance has
+        # condition ~8e5) and subsamples 1-3 are built and solved exactly.
+        rng = np.random.default_rng(3)
+        t, kappa = 6, 0.05
+        z = rng.normal(size=(t, 2))
+        z -= z.mean(axis=0)
+        z[:, 1] -= z[:, 0] * (z[:, 0] @ z[:, 1]) / (z[:, 0] @ z[:, 0])
+        z /= np.sqrt(np.mean(z**2, axis=0))
+        x = np.empty((4, t, 1))
+        x[:3, :, 0] = np.sqrt(kappa * (1 / 1.25e-6 - 1)) * z[:, 0]
+        x[3, :, 0] = np.sqrt(kappa) * z[:, 1]
+        panel = PanelData.from_arrays(rng.normal(size=(4, t)), x)
+        dp = double_demean(panel)
+        assert abs(shared_capacitance_eigenvalues(dp, kappa)[0] / 1.25e-6 - 1.0) < 1e-6
+        flagged, exact = capacitance_solves(monkeypatch, dp, kappa)
+        assert exact == 3 and not flagged.any()
+        assert_matches_batched_capacitance(dp, kappa)
+        assert_same_outcome(panel, "tw-mg-ridge", kappa, rel=1e-8)
+
+    def test_ill_conditioned_k_by_k_system_is_solved_exactly(self, monkeypatch):
+        # As above with K = 2, but D's weak eigenvalue is 1e-5, which clears
+        # the bound for every subsample. Unit 1's second regressor is weak
+        # (block reciprocal condition ~1e-4), and its first lies along D's
+        # weak direction, so H_1 = B_1 + c xdot_1' D^{-1} xdot_1 has
+        # reciprocal condition ~4e-9 and subsample 1 is solved exactly.
+        rng = np.random.default_rng(4)
+        t, kappa = 7, 0.05
+        basis = np.column_stack([np.ones(t), rng.normal(size=(t, 6))])
+        z = np.linalg.qr(basis)[0][:, 1:] * np.sqrt(t)
+        q = kappa * (1e5 - 1)
+        x = np.empty((4, t, 2))
+        x[:3, :, 0] = np.sqrt(q) * z[:, 0]
+        x[0, :, 1] = np.sqrt(1e-4 * q) * z[:, 1]
+        x[1, :, 1] = np.sqrt(q) * z[:, 2]
+        x[2, :, 1] = np.sqrt(q) * z[:, 3]
+        x[3] = np.sqrt(q) * z[:, 4:6]
+        panel = PanelData.from_arrays(rng.normal(size=(4, t)), x)
+        dp = double_demean(panel)
+        flagged, exact = capacitance_solves(monkeypatch, dp, kappa)
+        assert exact == 1 and not flagged.any()
+        assert_matches_batched_capacitance(dp, kappa)
+        assert_same_outcome(panel, "tw-mg-ridge", kappa, rel=1e-8)
 
 
 @settings(max_examples=80, deadline=None)

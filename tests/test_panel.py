@@ -392,6 +392,25 @@ class TestReadCsv:
         with pytest.raises(MalformedInput, match=f"^{re.escape(str(f))}: {message}"):
             read_csv(f)
 
+    def test_bad_byte_in_header_is_malformed_input(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"unit,time,y,x\xff1\na,1,2.0,3.0\na,2,3.0,4.0\n")
+        with pytest.raises(
+            MalformedInput, match=f"^{re.escape(str(f))}: not UTF-8 text \\(invalid start byte\\)$"
+        ):
+            read_csv(f)
+
+    @pytest.mark.parametrize(
+        "late",
+        [b"b,1,\xff,2.0", b'b,1,"' + b"9" * 131073 + b'",2.0'],
+        ids=["not-utf8", "long-field"],
+    )
+    def test_earlier_offending_record_wins_over_unreadable_bytes(self, tmp_path, late):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"unit,time,y,x1\na,1,abc,2.0\na,2,3.0,4.0\n" + late + b"\n")
+        with pytest.raises(MalformedInput, match="^cannot parse value in record 1 "):
+            read_csv(f)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "nope.csv")
