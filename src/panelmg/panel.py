@@ -14,6 +14,7 @@ dummy variables.
 
 from __future__ import annotations
 
+import codecs
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,12 +214,28 @@ def _coerce_value(raw: object, row_no: int, unit: str, time: str) -> float:
         ) from exc
 
 
-def _index_labels(raw: list[object]) -> tuple[list[str], tuple[str, ...], np.ndarray]:
-    """Stripped labels, the distinct ones by first appearance, and each one's index."""
+def _code_labels(raw: Iterable[object], index: dict[str, int]) -> np.ndarray:
+    """Each label's code, after ``str`` and stripping. ``index`` maps labels
+    to codes by first appearance and gains the labels it lacked."""
     labels = list(map(str.strip, map(str, raw)))
-    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
-    return labels, tuple(index), codes
+    for label in dict.fromkeys(labels):
+        index.setdefault(label, len(index))
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+
+
+def _assemble(
+    values: np.ndarray, cell: np.ndarray, unit_labels: tuple[str, ...], time_labels: tuple[str, ...]
+) -> PanelData:
+    """The panel whose (unit, time) cell ``cell[r]`` holds record r's ``values[r]``."""
+    n, t = len(unit_labels), len(time_labels)
+    full = np.empty((n * t, values.shape[1]))
+    full[cell] = values
+    return PanelData(
+        y=full[:, 0].reshape(n, t),
+        x=full[:, 1:].reshape(n, t, values.shape[1] - 1),
+        unit_labels=unit_labels,
+        time_labels=time_labels,
+    )
 
 
 def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
@@ -289,9 +306,16 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
             f"records need at least 4 fields (unit, time, y, x1), got {n_fields}"
         )
     n_rec, width = len(units), n_fields - 2
-    unit_of, unit_labels, unit_idx = _index_labels(units)
-    time_of, time_labels, time_idx = _index_labels(times)
+    unit_index: dict[str, int] = {}
+    time_index: dict[str, int] = {}
+    unit_idx = _code_labels(units, unit_index)
+    time_idx = _code_labels(times, time_index)
+    unit_labels, time_labels = tuple(unit_index), tuple(time_index)
     n, t = len(unit_labels), len(time_labels)
+
+    def where(row: int) -> tuple[str, str]:
+        return unit_labels[unit_idx[row]], time_labels[time_idx[row]]
+
     cell = unit_idx * t + time_idx
 
     counts = np.bincount(cell, minlength=n * t)
@@ -308,13 +332,12 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
         stop = len(raw) if repeat is None else (repeat + 1) * width
         for i in range(stop):
             row = i // width
-            _coerce_value(raw[i], row + 1, unit_of[row], time_of[row])
+            _coerce_value(raw[i], row + 1, *where(row))
         if repeat is None:
             raise
     if repeat is not None:
-        raise DuplicateCell(
-            f"duplicate cell for unit '{unit_of[repeat]}', time '{time_of[repeat]}'"
-        )
+        unit, time = where(repeat)
+        raise DuplicateCell(f"duplicate cell for unit '{unit}', time '{time}'")
     if stop is not None:
         raise stop
 
@@ -326,28 +349,31 @@ def validate_panel(records: Iterable[Sequence[object]]) -> PanelData:
             f"missing observation for unit '{unit_labels[ui]}' at time '{time_labels[ti]}'"
         )
 
-    full = np.empty((n * t, width))
-    full[cell] = values.reshape(n_rec, width)
-    return PanelData(
-        y=full[:, 0].reshape(n, t),
-        x=full[:, 1:].reshape(n, t, width - 1),
-        unit_labels=unit_labels,
-        time_labels=time_labels,
-    )
+    return _assemble(values.reshape(n_rec, width), cell, unit_labels, time_labels)
 
 
 def read_csv(path: str | Path) -> PanelData:
     """Read a panel from a CSV file with header ``unit,time,y,x1,...,xK``.
 
     The file is UTF-8, with or without a byte-order mark. Rows whose cells
-    are all blank are skipped, and the rest stream to ``validate_panel``
-    without a list of rows being built. As there, the first offending record
-    wins, and record numbers count non-blank data rows, not file lines. A
-    row of the wrong width ends the reading. A record holding bytes that are
-    not UTF-8, or content the ``csv`` module cannot parse, is offending and
-    raises MalformedInput.
+    are all blank are skipped. As in ``validate_panel``, the first offending
+    record wins, and record numbers count non-blank data rows, not file
+    lines. A row of the wrong width ends the reading. A record holding bytes
+    that are not UTF-8, or content the ``csv`` module cannot parse, is
+    offending and raises MalformedInput.
+
+    There are two paths. A plain file (no quotes, no blank rows, no control
+    byte but LF or CRLF line ends, every row as wide as the header) is split
+    at its commas in blocks of whole lines. Any other file, and any plain
+    file that is not a valid panel, is read again from the start by the
+    ``csv`` module, streaming rows to ``validate_panel``; that path alone
+    raises data errors. The panel, and the class and message of every
+    error, do not depend on which path ran.
     """
     path = Path(path)
+    panel = _read_plain(path)
+    if panel is not None:
+        return panel
     try:
         return _read_csv(path, None)
     except UnicodeDecodeError as exc:
@@ -358,9 +384,16 @@ def read_csv(path: str | Path) -> PanelData:
     return _read_csv(path, bad_byte)
 
 
+def _is_header(fields: list[str]) -> bool:
+    """True if the stripped ``fields`` are ``unit,time,y,x1,...,xK``, K >= 1."""
+    names = [f.strip() for f in fields]
+    expected_x = [f"x{i}" for i in range(1, len(names) - 2)]
+    return len(names) >= 4 and names[:3] == ["unit", "time", "y"] and names[3:] == expected_x
+
+
 def _read_csv(path: Path, bad_byte: MalformedInput | None) -> PanelData:
-    """``read_csv``; with ``bad_byte``, the first row holding a byte that is
-    not UTF-8 raises it."""
+    """``read_csv`` through the ``csv`` module; with ``bad_byte``, the first
+    row holding a byte that is not UTF-8 raises it."""
     errors = "strict" if bad_byte is None else "surrogateescape"
     with path.open(newline="", encoding="utf-8-sig", errors=errors) as fh:
         reader = csv.reader(fh)
@@ -390,15 +423,115 @@ def _read_csv(path: Path, bad_byte: MalformedInput | None) -> PanelData:
             raise unparseable(exc) from None
         if bad_byte is not None and not _is_utf8(header):
             raise bad_byte
-        header = [h.strip() for h in header]
-        expected_x = [f"x{i}" for i in range(1, max(len(header) - 3, 0) + 1)]
-        if len(header) < 4 or header[:3] != ["unit", "time", "y"] or header[3:] != expected_x:
+        if not _is_header(header):
             raise MalformedInput(
-                f"{path}: malformed header {header!r}; expected "
+                f"{path}: malformed header {[h.strip() for h in header]!r}; expected "
                 "unit,time,y,x1,...,xK"
             )
         rows = records()
         return validate_panel(rows if bad_byte is None else until_bad_byte(rows))
+
+
+# The plain-file reader works on blocks of whole lines of about this size,
+# so its memory does not grow with the file beyond the parsed values.
+_BLOCK_BYTES = 1 << 20
+
+
+def _read_plain(path: Path) -> PanelData | None:
+    """``read_csv`` of a plain file, or None.
+
+    None means the file is not plain (see ``_plain_fields``) or is not a
+    valid panel: the ``csv`` path then decides. The ``csv`` module splits
+    a plain file at its commas and line ends alone, so ``str.split`` gives
+    it the same fields, and the same labels and values follow from the
+    same label coding and ``float``.
+    """
+    unit_index: dict[str, int] = {}
+    time_index: dict[str, int] = {}
+    unit_codes, time_codes, values = [], [], []
+    width = 0
+    for block in _whole_line_blocks(path):
+        if block is None:
+            return None
+        if not width:
+            block = block.removeprefix(codecs.BOM_UTF8)
+            cut = block.index(b"\n") + 1
+            header = _plain_fields(block[:cut], block.count(b",", 0, cut) + 1)
+            if header is None or not _is_header(header):
+                return None
+            width, block = len(header), block[cut:]
+        fields = _plain_fields(block, width) if block else []
+        if fields is None:
+            return None
+        unit_codes.append(_code_labels(fields[::width], unit_index))
+        time_codes.append(_code_labels(fields[1::width], time_index))
+        del fields[::width]
+        del fields[:: width - 1]
+        try:
+            values.append(np.fromiter(map(float, fields), dtype=np.float64, count=len(fields)))
+        except ValueError:
+            return None
+    n, t = len(unit_index), len(time_index)
+    if n < 2 or t < 2:
+        return None
+    cell = np.concatenate(unit_codes) * t + np.concatenate(time_codes)
+    values = np.concatenate(values)
+    if len(cell) != n * t or np.bincount(cell).max() > 1 or not np.isfinite(values).all():
+        return None
+    return _assemble(values.reshape(n * t, width - 2), cell, tuple(unit_index), tuple(time_index))
+
+
+def _whole_line_blocks(path: Path) -> Iterator[bytes | None]:
+    """The file's bytes in blocks of whole lines of about ``_BLOCK_BYTES``,
+    each ending in a newline (one is added to an unterminated last line).
+    None stands for a line longer than a block and ends the blocks."""
+    with path.open("rb") as fh:
+        rest = b""
+        while chunk := fh.read(_BLOCK_BYTES):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                yield rest + chunk[:cut]
+                rest = chunk[cut:]
+            elif len(chunk) == _BLOCK_BYTES:
+                yield None
+                return
+            else:
+                rest += chunk
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_fields(block: bytes, width: int) -> list[str] | None:
+    """The fields of ``block``'s lines, row by row, if the lines are plain;
+    else None. ``block`` ends in a newline.
+
+    Plain lines are strict UTF-8 with no quote, no control byte but LF and
+    the CR of CRLF (the ``csv`` module of Python 3.10 rejects NUL), and
+    exactly ``width - 1`` commas each, so none is blank. None of them is
+    longer than ``csv.field_size_limit()``, so no field is.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    # one pass finds every control byte, comma and quote
+    marked = np.flatnonzero((raw < 0x20) | (raw == 0x2C) | (raw == 0x22))
+    kind = raw[marked]
+    newline, cr, comma = kind == 0x0A, kind == 0x0D, kind == 0x2C
+    ends = marked[newline]
+    if not (
+        (newline | cr | comma).all()
+        and (raw[marked[cr] + 1] == 0x0A).all()
+        and (np.diff(np.cumsum(comma)[newline], prepend=0) == width - 1).all()
+        and (np.diff(ends, prepend=-1) - 1).max() <= csv.field_size_limit()
+    ):
+        return None
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if cr.any():
+        text = text.replace("\r\n", "\n")
+    fields = text.replace("\n", ",").split(",")
+    del fields[-1]  # after the final newline
+    return fields
 
 
 def _is_utf8(row: list[str]) -> bool:

@@ -363,21 +363,35 @@ def _replication(task: tuple) -> dict:
     inf_methods = [
         m for m in methods if m in _INFERENCE_METHODS and errors[m.value] is not None
     ]
+    loo: dict[Method, np.ndarray] = {}
+    pooled_full = None
     if inf_methods:
+        wanted = list(inf_methods) + [Method.TW_POOLED]
+        try:
+            loo = loo_estimates(panel, wanted, kappa)
+        except PanelMgError:
+            # Coverage needs only a method's own values, so one failing
+            # method must not cost the others theirs.
+            for m in wanted:
+                try:
+                    loo.update(loo_estimates(panel, [m], kappa))
+                except PanelMgError:
+                    pass
         try:
             pooled_full = estimates.get(Method.TW_POOLED) or estimate(
                 panel, Method.TW_POOLED
             )
-            loo = loo_estimates(
-                panel, list(inf_methods) + [Method.TW_POOLED], kappa
-            )
         except PanelMgError:
-            inf_methods = []  # a missing entry counts as no inference
+            pass
     z = normal_quantile_upper((1.0 - level) / 2.0)
     for m in inf_methods:
+        if m not in loo:
+            continue  # a missing entry counts as no inference
         omega = omega_from_loo(loo[m])
         se = np.sqrt(np.diag(omega) / n_units)
         covered[m.value] = np.abs(errors[m.value]) <= z * se
+        if pooled_full is None or Method.TW_POOLED not in loo:
+            continue
         try:
             report = poolability_report(
                 estimates[m].beta_hat - pooled_full.beta_hat,

@@ -1,6 +1,11 @@
 """Panel construction, long-format validation, CSV ingestion, and demeaning."""
 
+import csv
+import io
 import re
+import statistics
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from panelmg import (
     read_csv,
     validate_panel,
 )
+import panelmg.panel as panel_module
 from oracles import literal_validate_panel, projection_double_demean, random_panel
 
 
@@ -414,3 +420,193 @@ class TestReadCsv:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "nope.csv")
+
+
+def streamed(path):
+    """``read_csv`` with the plain-file reader declining, so ``csv`` reads."""
+    with mock.patch.object(panel_module, "_read_plain", return_value=None):
+        return read_csv(path)
+
+
+def csv_reader_forbidden():
+    return mock.patch("csv.reader", side_effect=AssertionError("the csv path ran"))
+
+
+def panel_lines(y, x, units=None):
+    """Header and one line per (unit, time) cell, values by ``repr``."""
+    n, t, k = x.shape
+    units = units or [f"u{i}" for i in range(n)]
+    lines = ["unit,time,y," + ",".join(f"x{j + 1}" for j in range(k))]
+    for i in range(n):
+        for s in range(t):
+            vals = ",".join(repr(float(v)) for v in (y[i, s], *x[i, s]))
+            lines.append(f"{units[i]},t{s},{vals}")
+    return lines
+
+
+FILE_FAULTS = [
+    "quote", "blank", "all-blank", "tab", "cr", "control", "bom", "non-ascii",
+    "bad-byte", "long-field", "no-final-newline", "header", "header-only",
+]
+
+
+@st.composite
+def faulty_files(draw):
+    """CSV bytes of ``faulty_records()``, with file-level faults on top.
+
+    Each fault keeps labels consistent across lines where it can, so a
+    reader that mishandled it could still see a valid panel.
+    """
+    records = draw(faulty_records())
+    faults = draw(st.lists(st.sampled_from(FILE_FAULTS), max_size=3, unique=True))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoted = draw(st.integers(1, 2)) if "quote" in faults else 0
+
+    def line(row):
+        buf = io.StringIO()
+        if quoted:  # every label of the leading columns in quotes
+            csv.writer(buf, lineterminator=",", quoting=csv.QUOTE_ALL).writerow(row[:quoted])
+        csv.writer(buf, lineterminator=eol).writerow(row[quoted:])
+        return buf.getvalue()
+
+    width = statistics.mode(len(r) for r in records) if records else 4
+    header = ["unit", "time", "y"] + [f"x{j}" for j in range(1, width - 2)]
+    if "header" in faults:
+        header = draw(st.sampled_from([header[:-1], header + ["x9"], ["id"] + header[1:]]))
+    lines = [line(header)] + [line(r) for r in records]
+    if "header-only" in faults:
+        lines = lines[:1]
+
+    def insert(text):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, max(len(lines[i]) - len(eol), 0)))
+        lines[i] = lines[i][:at] + text + lines[i][at:]
+
+    if "blank" in faults:
+        lines.insert(draw(st.integers(0, len(lines))), eol)
+    if "all-blank" in faults:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([", ,,", " , ", ",,,,"])) + eol)
+    if "tab" in faults:
+        insert("\t")
+    if "cr" in faults:
+        insert("\r")
+    if "control" in faults:
+        insert(draw(st.sampled_from(["\x00", "\x0b", "\x0c", "\x1c", "\x7f"])))
+    if "non-ascii" in faults:
+        insert(draw(st.sampled_from(["é", "日本", "\xa0", "\u2028", "\x85", "\ufeff"])))
+    if "long-field" in faults:
+        insert(" " * (csv.field_size_limit() + 1))
+    text = "".join(lines)
+    if "no-final-newline" in faults:
+        text = text[: -len(eol)]
+    data = text.encode("utf-8")
+    if "bad-byte" in faults:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + b"\xff" + data[i:]
+    if "bom" in faults:
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+class TestPlainReader:
+    """The plain-file path of ``read_csv`` against the streamed ``csv`` path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_files(), st.sampled_from([16, 64, 1 << 20]))
+    @example(b"unit,time,y,x1\na,1,1,2\na,2,3,4\nb,1,5,6\nb,2,7,8", 16)
+    @example(b"unit,time,y,x1\r\na,1,1,2\r\na,2,3,4\rb,1,5,6\r\nb,2,7,8\r\n", 1 << 20)
+    @example(b'unit,time,y,x1\n"a",1,1,2\n"a",2,3,4\n"b",1,5,6\n"b",2,7,8\n', 16)
+    @example(b"unit,time,y,x1\na,1,1,2\na,2,3\r,4\nb,1,5,6\nb,2,7,8\n", 1 << 20)
+    @example(b"id,time,y,x1\na,1,1,2\na,2,3,4\nb,1,5,6\nb,2,7,8\n", 1 << 20)
+    @example(b"unit,time,y,x1\na,1,1,2\na,2,3,4\nb,1,5,6\nb,2,7," + b" " * 131073 + b"8\n", 1 << 20)
+    @example(b"unit,time,y,x1\na,1,1,2\na,2,3,4\n\nb,1,5,6\nb,2,7,8\n", 1 << 20)
+    @example(b"unit,time,y,x1\na,1,1,2\na,2,3,4\nb,1,5,6\nb,2,7,8\n", 1 << 20)
+    def test_same_panel_or_same_error_as_streamed(self, tmp_path_factory, data, block):
+        f = tmp_path_factory.mktemp("plain") / "p.csv"
+        f.write_bytes(data)
+        with mock.patch.object(panel_module, "_BLOCK_BYTES", block):
+            got = ingest_outcome(read_csv, f)
+        assert got == ingest_outcome(streamed, f)
+
+    @pytest.mark.parametrize(
+        "eol,bom,final", [("\n", b"", "\n"), ("\r\n", b"\xef\xbb\xbf", ""), ("\n", b"", "")]
+    )
+    @pytest.mark.parametrize("block", [64, 1 << 20])
+    def test_plain_file_skips_the_csv_module(self, tmp_path, eol, bom, final, block):
+        y, x, _ = random_panel(5, 6, 4, 2)
+        f = tmp_path / "p.csv"
+        lines = panel_lines(y, x, [f" u{i}" for i in range(6)])
+        f.write_bytes(bom + (eol.join(lines) + final).encode())
+        expected = ingest_outcome(streamed, f)
+        with mock.patch.object(panel_module, "_BLOCK_BYTES", block), csv_reader_forbidden():
+            assert ingest_outcome(read_csv, f) == expected
+        assert expected[2] == tuple(f"u{i}" for i in range(6))
+
+    @pytest.fixture(scope="class")
+    def many_blocks(self):
+        """Lines of a clean panel that spans more than two blocks."""
+        y, x, _ = random_panel(6, 5200, 10, 1)
+        lines = panel_lines(y, x, [f"é{i}" for i in range(5200)])
+        assert len("\n".join(lines).encode()) > 2 * panel_module._BLOCK_BYTES
+        return lines
+
+    @pytest.mark.parametrize(
+        "last,error,message",
+        [
+            (None, None, None),
+            (
+                "é5199,t9,abc,1.0",
+                MalformedInput,
+                "cannot parse value in record 52000 (unit 'é5199', time 't9'): 'abc'",
+            ),
+            ("é5199,t8,1.0,1.0", DuplicateCell, "duplicate cell for unit 'é5199', time 't8'"),
+            ('"é5199",t9,1.0,1.0', None, None),
+            ("é5199,t9,1.0,1.0\r", None, None),
+            # the message is the csv module's on Python 3.10, which rejects
+            # NUL; later versions pass it on to float
+            ("é5199,t9,1.0\x00,1.0", MalformedInput, None),
+        ],
+        ids=["clean", "unparseable", "duplicate", "quoted", "lone-cr", "nul"],
+    )
+    def test_fault_only_in_the_last_block(self, tmp_path, many_blocks, last, error, message):
+        f = tmp_path / "p.csv"
+        lines = many_blocks if last is None else many_blocks[:-1] + [last]
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = ingest_outcome(streamed, f)
+        assert ingest_outcome(read_csv, f) == expected
+        if error is None:
+            assert expected[2][-1] == "é5199"
+        elif message is None:
+            assert expected[0] is error
+        else:
+            assert expected == (error, message)
+
+    def test_multibyte_label_across_a_block_boundary(self, tmp_path, many_blocks):
+        lines = list(many_blocks)
+        block = panel_module._BLOCK_BYTES
+        starts = np.cumsum([0] + [len(s.encode()) + 1 for s in lines])
+        # pad the first label (padding is stripped) so a line starts one byte
+        # before the boundary, splitting its leading two-byte character
+        j = int(np.searchsorted(starts, block - 1, side="right")) - 1
+        lines[1] = " " * int(block - 1 - starts[j]) + lines[1]
+        data = ("\n".join(lines) + "\n").encode()
+        assert data[block - 1 : block + 1] == "é".encode()
+        f = tmp_path / "p.csv"
+        f.write_bytes(data)
+        expected = ingest_outcome(streamed, f)
+        with csv_reader_forbidden():
+            assert ingest_outcome(read_csv, f) == expected
+        assert len(expected[2]) == 5200
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        y, x, _ = random_panel(7, 10000, 10, 3)
+        f = tmp_path / "p.csv"
+        f.write_text("\n".join(panel_lines(y, x)) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            p = read_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.y.shape == (10000, 10)
+        assert peak < 4 * f.stat().st_size

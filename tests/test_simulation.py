@@ -21,7 +21,9 @@ from panelmg import (
     run_monte_carlo,
     simulate_dgp,
 )
-from panelmg.simulation import AR_BURN_IN, _aggregate_cell, _derive_seed
+import panelmg.simulation as simulation_module
+from panelmg.errors import SingularSystem
+from panelmg.simulation import AR_BURN_IN, _aggregate_cell, _derive_seed, _replication
 
 
 def replay_one_regressor_draws(spec):
@@ -335,6 +337,37 @@ class TestMonteCarloBehavior:
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ValueError):
             run_monte_carlo([(1, 8, 4)], ["nope"], 1, 1)
+
+
+class TestInferenceFailures:
+    """One method's failing leave-one-out fit costs only what needs it."""
+
+    TASK = (4, 20, 6, ("tw-mg", "tw-mg-ridge", "tw-pooled"), 11, 0.95, 0.05)
+
+    def replicate_with_failing(self, monkeypatch, failing):
+        real = simulation_module.loo_estimates
+
+        def loo_estimates(panel, methods, kappa):
+            if Method(failing) in methods:
+                raise SingularSystem(f"{failing} fails here")
+            return real(panel, methods, kappa)
+
+        monkeypatch.setattr(simulation_module, "loo_estimates", loo_estimates)
+        return _replication(self.TASK)
+
+    def test_pooled_loo_failure_keeps_coverage(self, monkeypatch):
+        clean = _replication(self.TASK)
+        out = self.replicate_with_failing(monkeypatch, "tw-pooled")
+        for m in ("tw-mg", "tw-mg-ridge"):
+            assert np.array_equal(out["covered"][m], clean["covered"][m])
+        assert out["rejected"] == {}
+
+    def test_one_method_failure_keeps_the_others(self, monkeypatch):
+        clean = _replication(self.TASK)
+        out = self.replicate_with_failing(monkeypatch, "tw-mg")
+        assert set(out["covered"]) == set(out["rejected"]) == {"tw-mg-ridge"}
+        assert np.array_equal(out["covered"]["tw-mg-ridge"], clean["covered"]["tw-mg-ridge"])
+        assert out["rejected"]["tw-mg-ridge"] == clean["rejected"]["tw-mg-ridge"]
 
 
 class TestAggregation:
