@@ -17,18 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RankDeficient, SingularBlock, SingularCapacitance, SingularSystem, TooFewPeriods
 from .gram import (
     DEFAULT_RANK_TOLERANCE,
     SCREEN_TOLERANCE,
+    block_conditions,
     loo_two_way,
     screen_loo_blocks,
     sym_eig_bounds,
     sym_inv,
+    sym_solve,
     two_way_slopes,
 )
 from .panel import DemeanedPanel, PanelData, double_demean
@@ -87,7 +89,7 @@ def _require_enough_periods(dp: DemeanedPanel) -> None:
         )
 
 
-def _tw_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
+def _tw_mg(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarray:
     """Per-unit slopes of the two-way mean-group estimator."""
     _require_enough_periods(dp)
     try:
@@ -98,18 +100,20 @@ def _tw_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
         ) from exc
 
 
-def _ridge_kappa(dp: DemeanedPanel) -> float:
+def _ridge_kappa(dp: DemeanedPanel) -> np.ndarray:
+    """The shift of ``compute_ridge_kappa`` for each panel (...)."""
     xdd = dp.x_dd
-    m = xdd.transpose(0, 2, 1) @ xdd / dp.n_periods
+    m = xdd.swapaxes(-1, -2) @ xdd / dp.n_periods
     k = m.shape[-1]
     if k == 1:
-        dets = m[:, 0, 0]
+        dets = m[..., 0, 0]
     elif k == 2:
-        dets = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+        dets = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] ** 2
     else:
         dets = np.linalg.det(m)
-    c_kappa = float(np.median(dets))
-    return max(c_kappa, 0.0) / dp.n_units
+    c_kappa = np.median(dets, axis=-1)
+    # max(c_kappa, 0.0) as Python takes it, so a NaN stays NaN
+    return np.where(0.0 > c_kappa, 0.0, c_kappa) / dp.n_units
 
 
 def compute_ridge_kappa(panel: PanelData) -> float:
@@ -119,11 +123,11 @@ def compute_ridge_kappa(panel: PanelData) -> float:
     double-demeaned regressors; the median over units (midpoint average for
     even N) is divided by N so the shift vanishes as the cross-section grows.
     """
-    return _ridge_kappa(double_demean(panel))
+    return float(_ridge_kappa(double_demean(panel)))
 
 
 def _tw_mg_ridge(
-    dp: DemeanedPanel, unit_labels: tuple[str, ...], kappa: float
+    dp: DemeanedPanel, unit_labels: Sequence[str] | None, kappa: float | np.ndarray
 ) -> np.ndarray:
     """Per-unit slopes of the ridge-regularised two-way mean-group estimator.
 
@@ -138,23 +142,27 @@ def _tw_mg_ridge(
         ) from exc
 
 
-def _tw_pooled(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
-    """Pooled two-way fixed effects slopes on the double-demeaned data."""
+def _tw_pooled(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarray:
+    """Pooled two-way fixed effects slopes (..., K) on the double-demeaned data."""
     xdd = dp.x_dd
-    a = np.einsum("ntk,ntl->kl", xdd, xdd)
-    b = np.einsum("ntk,nt->k", xdd, dp.y_dd)
+    a = np.einsum("...ntk,...ntl->...kl", xdd, xdd)
+    b = np.einsum("...ntk,...nt->...k", xdd, dp.y_dd)
     lo, hi = sym_eig_bounds(a)
     # Compare against the unit-demeaned scale too, so a regressor absorbed
     # entirely by the two-way effects is flagged instead of solved.
     xu = dp.x_unit_dm
-    within_scale = float(np.einsum("ntk,ntk->", xu, xu)) / dp.n_regressors
-    scale = max(float(hi), within_scale)
-    if scale <= 0.0 or float(lo) / scale < DEFAULT_RANK_TOLERANCE:
+    within_scale = np.einsum("...ntk,...ntk->...", xu, xu) / dp.n_regressors
+    scale = np.where(within_scale > hi, within_scale, hi)  # max() as Python takes it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        failed = (scale <= 0.0) | (lo / scale < DEFAULT_RANK_TOLERANCE)
+    if unit_labels is not None and failed:
         raise RankDeficient(
             "pooled design is rank deficient after double demeaning",
-            units=unit_labels,
+            units=tuple(unit_labels),
         )
-    return cho_solve(cho_factor(a, lower=True), b)
+    slopes = sym_solve(a, b, failed)
+    slopes[failed] = np.nan
+    return slopes
 
 
 def _tw_pooled_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -171,43 +179,47 @@ def _tw_pooled_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
     each downdated matrix; flagged subsamples get placeholder values.
     """
     xdd, ydd, xu = dp.x_dd, dp.y_dd, dp.x_unit_dm
-    n, _, k = xdd.shape
-    g = xdd.transpose(0, 2, 1) @ xdd
-    gy = np.einsum("ntk,nt->nk", xdd, ydd)
-    sx = xdd.sum(axis=0) - xdd
-    sy = ydd.sum(axis=0) - ydd
-    a = g.sum(axis=0) - g - sx.transpose(0, 2, 1) @ sx / (n - 1)
-    b = gy.sum(axis=0) - gy - np.einsum("ntk,nt->nk", sx, sy) / (n - 1)
+    n, _, k = xdd.shape[-3:]
+    g = xdd.swapaxes(-1, -2) @ xdd
+    gy = np.einsum("...ntk,...nt->...nk", xdd, ydd)
+    sx = xdd.sum(axis=-3, keepdims=True) - xdd
+    sy = ydd.sum(axis=-2, keepdims=True) - ydd
+    a = g.sum(axis=-3, keepdims=True) - g - sx.swapaxes(-1, -2) @ sx / (n - 1)
+    b = gy.sum(axis=-2, keepdims=True) - gy - np.einsum("...ntk,...nt->...nk", sx, sy) / (n - 1)
     lo, hi = sym_eig_bounds(a)
-    within = np.einsum("ntk,ntk->n", xu, xu)
-    scale = np.maximum(hi, (within.sum() - within) / k)
+    within = np.einsum("...ntk,...ntk->...n", xu, xu)
+    scale = np.maximum(hi, (within.sum(axis=-1, keepdims=True) - within) / k)
     flagged = ~((scale > 0.0) & (lo >= SCREEN_TOLERANCE * scale))
     a[flagged] = np.eye(k)
     return np.linalg.solve(a, b[..., None])[..., 0], flagged
 
 
-def _standard_mg(dp: DemeanedPanel, unit_labels: tuple[str, ...]) -> np.ndarray:
+def _standard_mg(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarray:
     """Per-unit slopes without time effects: per-unit OLS with intercept."""
     _require_enough_periods(dp)
     xu = dp.x_unit_dm
-    blocks = xu.transpose(0, 2, 1) @ xu
-    rhs = np.einsum("ntk,nt->nk", xu, dp.y_unit_dm)
-    lo, hi = sym_eig_bounds(blocks)
-    scale = float(np.max(hi, initial=0.0))
-    if scale <= 0.0:
+    blocks = xu.swapaxes(-1, -2) @ xu
+    rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
+    scale, rcond = block_conditions(blocks)
+    bad = rcond < DEFAULT_RANK_TOLERANCE
+    failed = (scale <= 0.0) | bad.any(axis=-1)
+    if unit_labels is not None and scale <= 0.0:
         raise RankDeficient(
             "no within-unit regressor variation anywhere in the panel",
-            units=unit_labels,
+            units=tuple(unit_labels),
         )
-    bad = np.flatnonzero(lo / scale < DEFAULT_RANK_TOLERANCE)
-    if bad.size:
-        labels = tuple(unit_labels[int(i)] for i in bad)
+    if unit_labels is not None and failed:
+        labels = tuple(unit_labels[int(i)] for i in np.flatnonzero(bad))
         raise RankDeficient(
             f"per-unit OLS design is rank deficient for unit(s) "
             f"{', '.join(repr(l) for l in labels)}",
             units=labels,
         )
-    return np.einsum("nkl,nl->nk", sym_inv(blocks), rhs)
+    # a failing panel's blocks become identities, so none singular is inverted
+    blocks = np.where(failed[..., None, None, None], np.eye(dp.n_regressors), blocks)
+    slopes = np.einsum("...nkl,...nl->...nk", sym_inv(blocks), rhs)
+    slopes[failed] = np.nan
+    return slopes
 
 
 def _standard_mg_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -217,14 +229,40 @@ def _standard_mg_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
     (sum_i b_i - b_j) / (N-1).
     """
     xu = dp.x_unit_dm
-    n, _, k = xu.shape
-    blocks = xu.transpose(0, 2, 1) @ xu
+    n, _, k = xu.shape[-3:]
+    blocks = xu.swapaxes(-1, -2) @ xu
     flagged = screen_loo_blocks(blocks)
     if flagged.all():
-        return np.zeros((n, k)), flagged
-    rhs = np.einsum("ntk,nt->nk", xu, dp.y_unit_dm)
-    slopes = np.einsum("nkl,nl->nk", sym_inv(blocks), rhs)
-    return (slopes.sum(axis=0) - slopes) / (n - 1), flagged
+        return np.zeros(flagged.shape + (k,)), flagged
+    blocks = np.where(flagged.all(axis=-1)[..., None, None, None], np.eye(k), blocks)
+    rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
+    slopes = np.einsum("...nkl,...nl->...nk", sym_inv(blocks), rhs)
+    values = (slopes.sum(axis=-2, keepdims=True) - slopes) / (n - 1)
+    # a flagged value depends on how its panel was stacked; it is not used
+    return np.where(flagged[..., None], 0.0, values), flagged
+
+
+def _slopes(
+    dp: DemeanedPanel,
+    method: Method,
+    kappa: float | np.ndarray | None,
+    unit_labels: Sequence[str] | None,
+) -> tuple[np.ndarray, float | np.ndarray | None]:
+    """Per-unit slopes (..., N, K), or pooled slopes (..., K), and the ridge
+    shift used (None for the estimators without one).
+
+    With ``unit_labels`` (one panel) a failing check raises as ``estimate``
+    documents; without, a failing panel's slopes are NaN.
+    """
+    if method is Method.TW_POOLED:
+        return _tw_pooled(dp, unit_labels), None
+    if method is Method.TW_MG:
+        return _tw_mg(dp, unit_labels), None
+    if method is Method.STANDARD_MG:
+        return _standard_mg(dp, unit_labels), None
+    if kappa is None:
+        kappa = _ridge_kappa(dp)
+    return _tw_mg_ridge(dp, unit_labels, kappa), kappa
 
 
 def estimate(
@@ -240,53 +278,66 @@ def estimate(
     average of the per-unit slopes.
     """
     method = Method(method)
-    dp = double_demean(panel)
-    labels = panel.unit_labels
+    slopes, kappa = _slopes(double_demean(panel), method, kappa, panel.unit_labels)
     if method is Method.TW_POOLED:
-        return SlopeEstimates(method, _tw_pooled(dp, labels), unit_slopes=None)
-    kappa_used = None
-    if method is Method.TW_MG:
-        slopes = _tw_mg(dp, labels)
-    elif method is Method.STANDARD_MG:
-        slopes = _standard_mg(dp, labels)
-    else:
-        if kappa is None:
-            kappa = _ridge_kappa(dp)
-        slopes = _tw_mg_ridge(dp, labels, kappa)
-        kappa_used = float(kappa)
+        return SlopeEstimates(method, slopes, unit_slopes=None)
+    kappa_used = None if kappa is None else float(kappa)
     return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)
 
 
+def estimate_stack(
+    dp: DemeanedPanel, method: Method | str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``estimate`` on every panel of a stack of demeaned panels (...).
+
+    Returns the estimates (..., K) and the ridge shifts (...) of
+    ``tw-mg-ridge`` (None for the other estimators). Where ``estimate``
+    would raise for one panel, its estimates are NaN instead; T too short
+    for the estimator still raises TooFewPeriods. Every other value equals
+    ``estimate``'s on that panel alone, bit for bit.
+    """
+    method = Method(method)
+    if method is not Method.TW_MG_RIDGE:
+        slopes, _ = _slopes(dp, method, None, None)
+        return (slopes if method is Method.TW_POOLED else slopes.mean(axis=-2)), None
+    kappa = _ridge_kappa(dp)
+    # never negative; where it is not finite, estimate raises OutOfRange
+    finite = np.isfinite(kappa)
+    slopes, _ = _slopes(dp, method, np.where(finite, kappa, 0.0), None)
+    return np.where(finite[..., None], slopes.mean(axis=-2), np.nan), kappa
+
+
 def leave_one_out(
-    dp: DemeanedPanel, method: Method | str, kappa: float | None = None
+    dp: DemeanedPanel, method: Method | str, kappa: float | np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates on every (N-1)-unit subsample, downdated from one demeaning.
 
-    Returns the (N, K) leave-one-out estimates in unit order and an (N,)
-    mask of subsamples whose value must come from re-estimating that
-    subsample instead: one of its checks fails or lands within its margin
-    (see ``gram.SCREEN_TOLERANCE``) of its threshold, or its value is not
-    finite. Re-estimating a flagged subsample raises exactly the error the
-    estimator raises there. Unflagged values agree with re-estimation to
+    Returns the (..., N, K) leave-one-out estimates in unit order and an
+    (..., N) mask of subsamples whose value must come from re-estimating
+    that subsample instead: one of its checks fails or lands within its
+    margin (see ``gram.SCREEN_TOLERANCE``) of its threshold, or its value is
+    not finite. Re-estimating a flagged subsample raises exactly the error
+    the estimator raises there. Unflagged values agree with re-estimation to
     rounding error. ``kappa`` is the ridge shift held fixed on every
-    subsample; None (each subsample recomputing its own) flags them all, as
-    do N < 3, T <= K + 1 for the estimators that refuse it, and a negative
-    or non-finite shift.
+    subsample, one or one per panel of a stack (...); None (each subsample
+    recomputing its own) flags them all, as do N < 3, T <= K + 1 for the
+    estimators that refuse it, and a negative or non-finite shift.
     """
     method = Method(method)
     n, k = dp.n_units, dp.n_regressors
     if method is Method.TW_MG_RIDGE:
-        usable = kappa is not None and 0.0 <= kappa < np.inf
+        usable = kappa is not None and bool(np.all((0.0 <= kappa) & (kappa < np.inf)))
     elif method is Method.TW_POOLED:
         usable = True
     else:
         usable = dp.n_periods > k + 1
     if n < 3 or not usable:
-        return np.zeros((n, k)), np.ones(n, dtype=bool)
+        batch = dp.y_dd.shape[:-2]
+        return np.zeros((*batch, n, k)), np.ones((*batch, n), dtype=bool)
     if method is Method.TW_POOLED:
         values, flagged = _tw_pooled_loo(dp)
     elif method is Method.STANDARD_MG:
         values, flagged = _standard_mg_loo(dp)
     else:
         values, flagged = loo_two_way(dp, 0.0 if method is Method.TW_MG else kappa)
-    return values, flagged | ~np.isfinite(values).all(axis=1)
+    return values, flagged | ~np.isfinite(values).all(axis=-1)

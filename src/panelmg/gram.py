@@ -39,12 +39,20 @@ lambda_max(cap_j) <= lambda_max(D) + c tr(M_j). So one eigenvalue
 decomposition of D proves the capacitance check for every subsample it
 clears by that bound; only the rest have cap_j built and checked one by
 one.
+
+Every function here also takes a stack of panels: arrays with leading batch
+axes (...) in front of the unit axis. Each panel of a stack goes through the
+same floating-point operations, in the same order, as it would alone, so a
+stacked result equals the single-panel ones bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs
 
 from .errors import OutOfRange, SingularBlock, SingularCapacitance
 from .panel import DemeanedPanel
@@ -65,8 +73,10 @@ KEPT_BLOCK_MARGIN = 10.0
 
 
 def _max_without_each(values: np.ndarray) -> np.ndarray:
-    """The largest entry of ``values`` with each entry left out in turn."""
-    second, first = np.partition(values, -2)[-2:]
+    """The largest entry along the last axis of ``values`` with each entry
+    left out in turn."""
+    top = np.partition(values, -2, axis=-1)[..., -2:]
+    second, first = top[..., :1], top[..., 1:]
     return np.where(values == first, second, first)
 
 
@@ -109,54 +119,102 @@ def sym_inv(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
-def _shifted_blocks(xu: np.ndarray, kappa: float) -> np.ndarray:
-    """The per-unit blocks q_i + kappa I of unit-demeaned regressors (N, T, K)."""
-    if not 0.0 <= kappa < np.inf:
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+
+
+def sym_solve(a: np.ndarray, b: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Solve a x = b by Cholesky for each symmetric positive definite matrix
+    of the stack ``a`` (..., M, M) and right-hand side ``b`` (..., M).
+
+    The matrices under the mask ``skip`` (...) are not factored; their x is
+    0. Each solve is ``cho_solve(cho_factor(a, lower=True), b)`` of SciPy,
+    with its checks and errors, calling the same LAPACK routines without
+    its per-call overhead.
+    """
+    out = np.zeros(b.shape)
+    for i in np.ndindex(skip.shape):
+        if skip[i]:
+            continue
+        c, info = _POTRF(np.asarray_chkfinite(a[i]), lower=1, clean=0)
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        out[i] = _POTRS(c, np.asarray_chkfinite(b[i]), lower=1)[0]
+    return out
+
+
+def block_conditions(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference scale and reciprocal conditions of the block check.
+
+    The scale (...) is the largest eigenvalue over a panel's blocks
+    (..., N, K, K), 0 if none is positive, and each block's reciprocal
+    condition (..., N) its smallest eigenvalue over that scale. A panel
+    fails the check if its scale is not positive or some reciprocal
+    condition is below ``DEFAULT_RANK_TOLERANCE``; the panel-wide scale
+    (rather than a per-block one) is what lets a block that demeaning
+    annihilated entirely be detected.
+    """
+    lo, hi = sym_eig_bounds(blocks)
+    scale = np.max(hi, axis=-1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return scale, lo / scale[..., None]
+
+
+def _identity_where(mask: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``blocks`` (..., N, K, K) with every block of the panels under ``mask``
+    (...) replaced by the identity, so that no singular block is inverted."""
+    return np.where(mask[..., None, None, None], np.eye(blocks.shape[-1]), blocks)
+
+
+def _shifted_blocks(xu: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
+    """The per-unit blocks q_i + kappa I of unit-demeaned regressors
+    (..., N, T, K); ``kappa`` is one shift, or one per panel (...)."""
+    shift = np.asarray(kappa, dtype=np.float64)
+    if not np.all((0.0 <= shift) & (shift < np.inf)):
         raise OutOfRange(f"kappa must be nonnegative and finite, got {kappa}")
-    t, k = xu.shape[1:]
-    blocks = xu.transpose(0, 2, 1) @ xu / t
-    if kappa != 0.0:
-        blocks = blocks + kappa * np.eye(k)
-    return blocks
+    t, k = xu.shape[-2:]
+    blocks = xu.swapaxes(-1, -2) @ xu / t
+    # x + -0.0 is x for every x, so a zero shift leaves a panel's blocks bit
+    # for bit as they are, whatever the other panels' shifts.
+    shift = np.where(shift != 0.0, shift, -0.0)
+    return blocks + shift[..., None, None, None] * np.eye(k)
 
 
 def two_way_slopes(
-    dp: DemeanedPanel, kappa: float, unit_labels: tuple[str, ...]
+    dp: DemeanedPanel, kappa: float | np.ndarray, unit_labels: Sequence[str] | None = None
 ) -> np.ndarray:
-    """Per-unit slopes (N, K) of the two-way system with ridge shift ``kappa``.
+    """Per-unit slopes (..., N, K) of the two-way system with ridge shift ``kappa``.
 
-    The system and its solve are derived in the module docstring.
-    ``unit_labels`` name the offending units in a SingularBlock.
+    The system and its solve are derived in the module docstring. ``kappa``
+    is one shift, or one per panel (...). With ``unit_labels`` (one panel)
+    a failing check raises, naming the offending units in a SingularBlock;
+    without, no check raises and a failing panel's slopes are NaN.
 
     Raises
     ------
     OutOfRange
         ``kappa`` is negative or not finite.
     SingularBlock
-        Some shifted diagonal block has smallest eigenvalue below
-        ``DEFAULT_RANK_TOLERANCE`` times the largest block eigenvalue in the
-        panel. The panel-wide reference scale (rather than a per-block one)
-        is what lets a block that demeaning annihilated entirely be detected.
+        With ``unit_labels``: some shifted diagonal block fails the check of
+        ``block_conditions``.
     SingularCapacitance
-        The T x T capacitance matrix fails the same reciprocal-condition
-        threshold, i.e. the coupled system is singular even though every
-        block is fine.
+        With ``unit_labels``: the T x T capacitance matrix fails the same
+        reciprocal-condition threshold, i.e. the coupled system is singular
+        even though every block is fine.
     """
     xu, y = dp.x_unit_dm, dp.y_dd
-    n, t, _ = xu.shape
+    *batch, n, t, _ = xu.shape
     blocks = _shifted_blocks(xu, kappa)
-    lo, hi = sym_eig_bounds(blocks)
-    scale = float(np.max(hi, initial=0.0))
-    if scale <= 0.0:
+    scale, rcond = block_conditions(blocks)
+    bad = rcond < DEFAULT_RANK_TOLERANCE
+    block_failed = (scale <= 0.0) | bad.any(axis=-1)
+    if unit_labels is not None and scale <= 0.0:
         raise SingularBlock(
             "every diagonal block is numerically zero; the regressors carry "
             "no within-unit variation (consider the ridge estimator)",
-            units=unit_labels,
+            units=tuple(unit_labels),
         )
-    rcond = lo / scale
-    bad = np.flatnonzero(rcond < DEFAULT_RANK_TOLERANCE)
-    if bad.size:
-        labels = tuple(unit_labels[int(i)] for i in bad)
+    if unit_labels is not None and block_failed:
+        labels = tuple(unit_labels[int(i)] for i in np.flatnonzero(bad))
         raise SingularBlock(
             f"diagonal block(s) for unit(s) {', '.join(repr(l) for l in labels)} "
             f"fail the condition threshold {DEFAULT_RANK_TOLERANCE:g} "
@@ -164,21 +222,29 @@ def two_way_slopes(
             units=labels,
         )
 
-    xt = np.ascontiguousarray(xu.transpose(0, 2, 1))  # (N, K, T): xdot_i' per unit
-    a = sym_inv(blocks) @ xt
-    ay = np.einsum("nkt,nt->nk", a, y)
+    xt = np.ascontiguousarray(xu.swapaxes(-1, -2))  # (..., N, K, T): xdot_i' per unit
+    a = sym_inv(_identity_where(block_failed, blocks)) @ xt
+    ay = np.einsum("...nkt,...nt->...nk", a, y)
     # sums over units as (NK x T) matrix products; no (N, T, T) array of M_i
-    cap = np.eye(t) - xt.reshape(-1, t).T @ a.reshape(-1, t) / (n * t)
-    cap = 0.5 * (cap + cap.T)
-    cap_lo, cap_hi = np.linalg.eigvalsh(cap)[[0, -1]]
-    if cap_hi <= 0.0 or cap_lo / cap_hi < DEFAULT_RANK_TOLERANCE:
+    xt_flat = xt.reshape(*batch, -1, t)
+    cap = np.eye(t) - xt_flat.swapaxes(-1, -2) @ a.reshape(*batch, -1, t) / (n * t)
+    cap = 0.5 * (cap + cap.swapaxes(-1, -2))
+    ev = np.linalg.eigvalsh(cap)
+    cap_lo, cap_hi = ev[..., 0], ev[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap_failed = (cap_hi <= 0.0) | (cap_lo / cap_hi < DEFAULT_RANK_TOLERANCE)
+    if unit_labels is not None and cap_failed:
         raise SingularCapacitance(
             "the cross-section coupling matrix is numerically singular; the "
             "double-demeaned regressors do not span all slope directions"
         )
-    rhs = ay.reshape(-1) @ xt.reshape(-1, t) / (n * t * t)  # sum M_i y_i / (N T^2)
-    w = cho_solve(cho_factor(cap, lower=True), rhs)
-    return ay / t + a @ w
+    # sum M_i y_i / (N T^2)
+    rhs = (ay.reshape(*batch, 1, -1) @ xt_flat)[..., 0, :] / (n * t * t)
+    failed = block_failed | cap_failed
+    w = sym_solve(cap, rhs, failed)
+    slopes = ay / t + (a @ w[..., None, :, None])[..., 0]
+    slopes[failed] = np.nan
+    return slopes
 
 
 def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -202,7 +268,9 @@ def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
     )
 
 
-def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+def loo_two_way(
+    dp: DemeanedPanel, kappa: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean slopes of the two-way system on every (N-1)-unit subsample.
 
     With A_i and M_i as in the module docstring and a subsample of N - 1
@@ -246,39 +314,45 @@ def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray
     built, checked by its eigenvalues and solved directly, so the flagged
     set is the one the per-subsample check gives.
 
-    Returns the (N, K) values and an (N,) mask of subsamples whose block or
-    capacitance check lands below ``SCREEN_TOLERANCE``; their values are not
-    to be used.
+    Returns the (..., N, K) values and an (..., N) mask of subsamples whose
+    block or capacitance check lands below ``SCREEN_TOLERANCE``; their values
+    are 0 and not to be used. ``kappa`` is one shift, or one per panel (...).
     """
     xu, y = dp.x_unit_dm, dp.y_dd
-    n, t, k = xu.shape
+    *batch, n, t, k = xu.shape
     blocks = _shifted_blocks(xu, kappa)
     flagged = screen_loo_blocks(blocks)
     if flagged.all():
-        return np.zeros((n, k)), flagged
+        return np.zeros((*batch, n, k)), flagged
+    # Every subsample of a panel with a singular block is flagged.
+    blocks = _identity_where(flagged.all(axis=-1), blocks)
     c = 1.0 / ((n - 1) * t)
-    xt = np.ascontiguousarray(xu.transpose(0, 2, 1))  # (N, K, T): xdot_i' per unit
+    xt = np.ascontiguousarray(xu.swapaxes(-1, -2))  # (..., N, K, T): xdot_i' per unit
     a = sym_inv(blocks) @ xt
-    sum_m = xt.reshape(-1, t).T @ a.reshape(-1, t)
-    means = (y.sum(axis=0) - y) / (n - 1)
-    ay = np.einsum("nkt,nt->nk", a, y)
-    a_dev = np.einsum("nkt,nt->nk", a, y - means)
+    xt_flat = xt.reshape(*batch, -1, t)
+    sum_m = xt_flat.swapaxes(-1, -2) @ a.reshape(*batch, -1, t)
+    means = (y.sum(axis=-2, keepdims=True) - y) / (n - 1)
+    ay = np.einsum("...nkt,...nt->...nk", a, y)
+    a_dev = np.einsum("...nkt,...nt->...nk", a, y - means)
     # sum of M_i (y_i - m) over the subsample: over all units, less unit j's
     rhs = (
-        ay.reshape(-1) @ xt.reshape(-1, t)
-        - means @ sum_m.T
-        - np.einsum("ntk,nk->nt", xu, a_dev)
+        ay.reshape(*batch, 1, -1) @ xt_flat
+        - means @ sum_m.swapaxes(-1, -2)
+        - np.einsum("...ntk,...nk->...nt", xu, a_dev)
     ) * (c / t)
 
     d = np.eye(t) - c * sum_m
-    d = 0.5 * (d + d.T)
+    d = 0.5 * (d + d.swapaxes(-1, -2))
     lam, vec = np.linalg.eigh(d)
-    bound = SCREEN_TOLERANCE * (lam[-1] + c * np.einsum("nkt,nkt->n", a, xt))
-    cleared = ~flagged & (lam[0] > 0.0) & (lam[0] >= bound)
-    w = np.zeros((n, t))
+    bound = SCREEN_TOLERANCE * (lam[..., -1:] + c * np.einsum("...nkt,...nkt->...n", a, xt))
+    cleared = ~flagged & (lam[..., :1] > 0.0) & (lam[..., :1] >= bound)
+    w = np.zeros((*batch, n, t))
     if cleared.any():
-        d_inv = (vec / lam) @ vec.T
-        d_inv_x = (xt.reshape(-1, t) @ d_inv).reshape(n, k, t)  # (D^{-1} xdot_j)'
+        # a panel with no subsample cleared takes D^{-1} from unit
+        # eigenvalues; none of its values is taken from it
+        lam = np.where(cleared.any(axis=-1, keepdims=True), lam, 1.0)
+        d_inv = (vec / lam[..., None, :]) @ vec.swapaxes(-1, -2)
+        d_inv_x = (xt_flat @ d_inv).reshape(xt.shape)  # (D^{-1} xdot_j)'
         h = blocks + c * (d_inv_x @ xu)
         h_lo, h_hi = sym_eig_bounds(h)
         cleared &= (h_lo > 0.0) & (h_lo >= SCREEN_TOLERANCE * h_hi)
@@ -287,28 +361,30 @@ def loo_two_way(dp: DemeanedPanel, kappa: float) -> tuple[np.ndarray, np.ndarray
 
         def solve(v: np.ndarray) -> np.ndarray:
             u = v @ d_inv
-            g = np.einsum("nkl,nl->nk", h_inv, np.einsum("nkt,nt->nk", xt, u))
-            return u - c * np.einsum("nkt,nk->nt", d_inv_x, g)
+            g = np.einsum("...nkl,...nl->...nk", h_inv, np.einsum("...nkt,...nt->...nk", xt, u))
+            return u - c * np.einsum("...nkt,...nk->...nt", d_inv_x, g)
 
         w = solve(rhs)
         # one step of iterative refinement on the residual r - cap_j w
-        cap_w = w @ d + c * np.einsum("ntk,nk->nt", xu, np.einsum("nkt,nt->nk", a, w))
+        aw = np.einsum("...nkt,...nt->...nk", a, w)
+        cap_w = w @ d + c * np.einsum("...ntk,...nk->...nt", xu, aw)
         w += solve(rhs - cap_w)
-    exact = np.flatnonzero(~flagged & ~cleared)
-    if exact.size:
-        cap = sum_m - xu[exact] @ a[exact]
+    exact = np.nonzero(~flagged & ~cleared)
+    if exact[0].size:
+        cap = sum_m[exact[:-1]] - xu[exact] @ a[exact]
         cap *= -c
         cap.reshape(-1, t * t)[:, :: t + 1] += 1.0
         ev = np.linalg.eigvalsh(cap)
         bad = ~((ev[:, -1] > 0.0) & (ev[:, 0] >= SCREEN_TOLERANCE * ev[:, -1]))
-        flagged[exact[bad]] = True
+        flagged[tuple(i[bad] for i in exact)] = True
         cap[bad] = np.eye(t)
         w[exact] = np.linalg.solve(cap, rhs[exact][..., None])[..., 0]
 
-    a_tot = a.sum(axis=0)
+    a_tot = a.sum(axis=-3)
     values = (
-        (ay.sum(axis=0) - a_dev) / t
-        + (w - means / t) @ a_tot.T
-        - np.einsum("nkt,nt->nk", a, w)
+        (ay.sum(axis=-2, keepdims=True) - a_dev) / t
+        + (w - means / t) @ a_tot.swapaxes(-1, -2)
+        - np.einsum("...nkt,...nt->...nk", a, w)
     ) / (n - 1)
-    return values, flagged
+    # a flagged value depends on how its panel was stacked; it is not used
+    return np.where(flagged[..., None], 0.0, values), flagged

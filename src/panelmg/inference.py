@@ -208,26 +208,43 @@ def loo_estimates(
 
 
 def omega_from_loo(loo: np.ndarray) -> np.ndarray:
-    """Jackknife covariance (N - 1) sum_i (b_(-i) - mean)(b_(-i) - mean)'."""
-    n = loo.shape[0]
-    centered = loo - loo.mean(axis=0)
-    return (n - 1) * (centered.T @ centered)
+    """Jackknife covariance (N - 1) sum_i (b_(-i) - mean)(b_(-i) - mean)'
+    of leave-one-out values (..., N, K), one per panel of a stack."""
+    n = loo.shape[-2]
+    centered = loo - loo.mean(axis=-2, keepdims=True)
+    return (n - 1) * (centered.swapaxes(-1, -2) @ centered)
+
+
+def joint_statistics(
+    delta: np.ndarray, omega_delta: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """J = N delta' OmegaDelta^{-1} delta for contrasts delta (..., K).
+
+    Returns J (...) and the (...) mask of singular OmegaDelta, where J is
+    not defined and reads 0.
+    """
+    if delta.shape[-1] == 1:
+        lo = hi = omega_delta[..., 0, 0]
+    else:
+        w = np.linalg.eigvalsh(omega_delta)
+        lo, hi = w[..., 0], w[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (hi <= 0.0) | (lo / hi < OMEGA_DELTA_RANK_TOLERANCE)
+    omega = np.where(singular[..., None, None], np.eye(delta.shape[-1]), omega_delta)
+    solved = np.linalg.solve(omega, delta[..., None])
+    joint = ((n * delta)[..., None, :] @ solved)[..., 0, 0]
+    return np.where(singular, 0.0, joint), singular
 
 
 def _joint_statistic(delta: np.ndarray, omega_delta: np.ndarray, n: int) -> float:
     """J = N delta' OmegaDelta^{-1} delta, gated on OmegaDelta invertibility."""
-    if delta.shape[0] == 1:
-        lo = hi = float(omega_delta[0, 0])
-    else:
-        w = np.linalg.eigvalsh(omega_delta)
-        lo, hi = float(w[0]), float(w[-1])
-    if hi <= 0.0 or lo / hi < OMEGA_DELTA_RANK_TOLERANCE:
+    joint, singular = joint_statistics(delta, omega_delta, n)
+    if singular:
         raise SingularOmegaDelta(
             "jackknife covariance of the mean-group/pooled contrast is "
             "numerically singular; the joint statistic is not defined"
         )
-    solved = np.linalg.solve(omega_delta, delta)
-    return float(n * delta @ solved)
+    return float(joint)
 
 
 def jackknife(

@@ -166,7 +166,8 @@ class DemeanedPanel:
     ``x_dd`` additionally have per-period cross-section means removed (grand
     mean added back). Both transforms are exact annihilators: unit demeaning
     kills anything constant within a unit, double demeaning kills any
-    a_i + b_t structure.
+    a_i + b_t structure. Those of a stack of panels carry its batch axes
+    first.
     """
 
     y_dd: np.ndarray
@@ -182,26 +183,31 @@ class DemeanedPanel:
 
     @property
     def n_units(self) -> int:
-        return self.y_dd.shape[0]
+        return self.y_dd.shape[-2]
 
     @property
     def n_periods(self) -> int:
-        return self.y_dd.shape[1]
+        return self.y_dd.shape[-1]
 
     @property
     def n_regressors(self) -> int:
-        return self.x_dd.shape[2]
+        return self.x_dd.shape[-1]
 
 
 def double_demean(panel: PanelData) -> DemeanedPanel:
-    """Apply the within-unit and two-way-within transforms to a panel."""
+    """Apply the within-unit and two-way-within transforms to a panel.
+
+    ``panel`` may also be a stack of panels: anything with ``y`` (..., N, T)
+    and ``x`` (..., N, T, K), leading batch axes first. Each panel of a stack
+    is transformed by the same operations as alone, bit for bit.
+    """
     y, x = panel.y, panel.x
-    y_unit = y - y.mean(axis=1, keepdims=True)
-    x_unit = x - x.mean(axis=1, keepdims=True)
+    y_unit = y - y.mean(axis=-1, keepdims=True)
+    x_unit = x - x.mean(axis=-2, keepdims=True)
     # Removing period means of the unit-demeaned data equals the full
     # two-way projection: the grand mean of y_unit is already zero.
-    y_dd = y_unit - y_unit.mean(axis=0, keepdims=True)
-    x_dd = x_unit - x_unit.mean(axis=0, keepdims=True)
+    y_dd = y_unit - y_unit.mean(axis=-2, keepdims=True)
+    x_dd = x_unit - x_unit.mean(axis=-3, keepdims=True)
     return DemeanedPanel(y_dd=y_dd, x_dd=x_dd, y_unit_dm=y_unit, x_unit_dm=x_unit)
 
 
@@ -358,9 +364,9 @@ def read_csv(path: str | Path) -> PanelData:
     The file is UTF-8, with or without a byte-order mark. Rows whose cells
     are all blank are skipped. As in ``validate_panel``, the first offending
     record wins, and record numbers count non-blank data rows, not file
-    lines. A row of the wrong width ends the reading. A record holding bytes
-    that are not UTF-8, or content the ``csv`` module cannot parse, is
-    offending and raises MalformedInput.
+    lines. A row not as wide as the header ends the reading, as an offending
+    record. A record holding bytes that are not UTF-8, or content the
+    ``csv`` module cannot parse, is offending and raises MalformedInput.
 
     There are two paths. A plain file (no quotes, no blank rows, no control
     byte but LF or CRLF line ends, every row as wide as the header) is split
@@ -415,6 +421,14 @@ def _read_csv(path: Path, bad_byte: MalformedInput | None) -> PanelData:
                     raise bad_byte
                 yield row
 
+        def as_wide_as_header(rows: Iterable[list[str]]) -> Iterator[list[str]]:
+            for row_no, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise MalformedInput(
+                        f"record {row_no} has {len(row)} fields, expected {len(header)}"
+                    )
+                yield row
+
         try:
             header = next(reader)
         except StopIteration:
@@ -429,7 +443,9 @@ def _read_csv(path: Path, bad_byte: MalformedInput | None) -> PanelData:
                 "unit,time,y,x1,...,xK"
             )
         rows = records()
-        return validate_panel(rows if bad_byte is None else until_bad_byte(rows))
+        if bad_byte is not None:
+            rows = until_bad_byte(rows)
+        return validate_panel(as_wide_as_header(rows))
 
 
 # The plain-file reader works on blocks of whole lines of about this size,

@@ -19,7 +19,19 @@ dgp 6  as 4 with the interactive terms removed from both equations.
 
 Per-replication seeds are derived with numpy's SeedSequence spawn keys, so a
 report depends only on (base_seed, cells, replications) and never on the
-worker count.
+worker count or the batching.
+
+A cell's replications run in batches of at most ``_BATCH_ELEMENTS`` values
+of x (replications x N x T x K), so the batches depend on the cell's shape
+alone. Each replication still draws its panel from its own seed; the panels
+of a batch are stacked, demeaned once, and fitted by one stacked pass per
+estimator, which gives every panel the floating-point result it gets alone.
+Leave-one-out values, Omega, coverage and the joint homogeneity statistic
+follow as stacked arrays. What raises in the one-panel path is a mask in
+the stacked one: a failing estimator check, a flagged leave-one-out
+subsample, a non-finite value, a singular OmegaDelta. A replication with a
+mask set runs again alone through ``_replication``, which records its
+failures, so every replication's result is the one ``_replication`` gives.
 """
 
 from __future__ import annotations
@@ -30,19 +42,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .errors import OutOfRange, PanelMgError, SingularOmegaDelta
-from .estimators import Method, estimate
+from .estimators import Method, estimate, estimate_stack, leave_one_out
 from .inference import (
+    joint_statistics,
     loo_estimates,
     normal_quantile_upper,
     omega_from_loo,
     poolability_report,
 )
-from .panel import PanelData
+from .panel import PanelData, double_demean
 
 __all__ = [
     "DgpSpec",
@@ -57,6 +72,9 @@ __all__ = [
 DGP_N_REGRESSORS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}
 AR_BURN_IN = 50
 _INFERENCE_METHODS = (Method.TW_MG, Method.TW_MG_RIDGE)
+# A cell's replications run in stacks of at most this many elements
+# (replications x N x T x K), so its batches depend on its shape alone.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,63 +109,97 @@ class SimTruth:
     unit_betas: np.ndarray
 
 
-def _simulate_one_regressor(spec: DgpSpec, rng: np.random.Generator):
-    n, t = spec.n_units, spec.n_periods
-    lam = 1.0 + rng.standard_normal(n)
-    f = 1.0 + rng.standard_normal(t)
-    gam = 1.0 + rng.standard_normal(n)
-    u = rng.standard_normal((n, t))
-    xi = rng.standard_normal((n, t))
-    eta_star = rng.standard_normal(n)
-    v_star = rng.standard_normal((n, t))
+def _stacked(draw, rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+    """``draw(rng)``'s arrays for each generator, each stacked over them."""
+    stacks: list[np.ndarray] = []
+    for r, rng in enumerate(rngs):
+        arrays = draw(rng)
+        if not stacks:
+            stacks = [np.empty((len(rngs),) + a.shape) for a in arrays]
+        for stack, a in zip(stacks, arrays):
+            stack[r] = a
+    return stacks
 
-    beta = np.ones(n) if spec.dgp_id == 1 else 1.0 + eta_star
-    if spec.dgp_id in (3, 5):
-        v = beta[:, None] * xi + v_star
+
+def _simulate_one_regressor(dgp_id: int, n: int, t: int, rngs):
+    def draw(rng: np.random.Generator):
+        lam = 1.0 + rng.standard_normal(n)
+        f = 1.0 + rng.standard_normal(t)
+        gam = 1.0 + rng.standard_normal(n)
+        u = rng.standard_normal((n, t))
+        xi = rng.standard_normal((n, t))
+        eta_star = rng.standard_normal(n)
+        v_star = rng.standard_normal((n, t))
+        return lam, f, gam, u, xi, eta_star, v_star
+
+    lam, f, gam, u, xi, eta_star, v_star = _stacked(draw, rngs)
+    lam, gam, f = lam[..., None], gam[..., None], f[..., None, :]
+    beta = np.ones_like(eta_star) if dgp_id == 1 else 1.0 + eta_star
+    if dgp_id in (3, 5):
+        v = beta[..., None] * xi + v_star
     else:
         v = v_star
-    x = lam[:, None] + f[None, :] + gam[:, None] * f[None, :] + v
-    y = beta[:, None] * x + lam[:, None] + f[None, :] + u
-    if spec.dgp_id != 5:
-        y = y + lam[:, None] * f[None, :]
-    return y, x[:, :, None], beta[:, None]
+    x = lam + f + gam * f + v
+    y = beta[..., None] * x + lam + f + u
+    if dgp_id != 5:
+        y = y + lam * f
+    return y, x[..., None], beta[..., None]
 
 
-def _simulate_two_regressor(spec: DgpSpec, rng: np.random.Generator):
-    n, t = spec.n_units, spec.n_periods
-    lam = 1.0 + rng.standard_normal(n)
-    f = 1.0 + rng.standard_normal(t)
-    gam1 = 1.0 + rng.standard_normal(n)
-    gam2 = 1.0 + rng.standard_normal(n)
-    u_shocks = rng.standard_normal((n, AR_BURN_IN + t))
-    xi = rng.standard_normal((n, t))
-    eta1_star = rng.standard_normal(n)
-    eta2_star = rng.standard_normal(n)
-    v1_star = rng.standard_normal((n, t))
-    v2_star = rng.standard_normal((n, t))
+def _simulate_two_regressor(dgp_id: int, n: int, t: int, rngs):
+    def draw(rng: np.random.Generator):
+        lam = 1.0 + rng.standard_normal(n)
+        f = 1.0 + rng.standard_normal(t)
+        gam1 = 1.0 + rng.standard_normal(n)
+        gam2 = 1.0 + rng.standard_normal(n)
+        u_shocks = rng.standard_normal((n, AR_BURN_IN + t))
+        xi = rng.standard_normal((n, t))
+        eta1_star = rng.standard_normal(n)
+        eta2_star = rng.standard_normal(n)
+        v1_star = rng.standard_normal((n, t))
+        v2_star = rng.standard_normal((n, t))
+        return lam, f, gam1, gam2, u_shocks, xi, eta1_star, eta2_star, v1_star, v2_star
 
+    lam, f, gam1, gam2, u_shocks, xi, eta1_star, eta2_star, v1_star, v2_star = _stacked(
+        draw, rngs
+    )
     beta1 = 1.0 + eta1_star
     beta2 = gam2 + eta2_star  # 1 + (gam2 - 1) + eta2*
-    v1 = beta1[:, None] * xi + v1_star
+    lam, f = lam[..., None], f[..., None, :]
+    v1 = beta1[..., None] * xi + v1_star
     v2 = v2_star
-    interactive = spec.dgp_id == 4
-    x1 = lam[:, None] + f[None, :] + v1
-    x2 = lam[:, None] + f[None, :] + v2
+    interactive = dgp_id == 4
+    x1 = lam + f + v1
+    x2 = lam + f + v2
     if interactive:
-        x1 = x1 + gam1[:, None] * f[None, :]
-        x2 = x2 + gam2[:, None] * f[None, :]
-    # AR(1) with coefficient 0.25 from a zero start, burn-in discarded.
-    u_ar = np.empty_like(u_shocks)
-    prev = np.zeros(n)
+        x1 = x1 + gam1[..., None] * f
+        x2 = x2 + gam2[..., None] * f
+    # AR(1) with coefficient 0.25 from a zero start, burn-in discarded; each
+    # shock is replaced by the process value once it has been read.
+    prev = np.zeros(u_shocks.shape[:-1])
     for s in range(AR_BURN_IN + t):
-        prev = u_shocks[:, s] + 0.25 * prev
-        u_ar[:, s] = prev
-    u = np.sqrt(1.0 + 0.25 * x1**2) * u_ar[:, AR_BURN_IN:]
-    y = beta1[:, None] * x1 + beta2[:, None] * x2 + lam[:, None] + f[None, :] + u
+        prev = u_shocks[..., s] + 0.25 * prev
+        u_shocks[..., s] = prev
+    u = np.sqrt(1.0 + 0.25 * x1**2) * u_shocks[..., AR_BURN_IN:]
+    y = beta1[..., None] * x1 + beta2[..., None] * x2 + lam + f + u
     if interactive:
-        y = y + lam[:, None] * f[None, :]
-    x = np.stack([x1, x2], axis=2)
-    return y, x, np.column_stack([beta1, beta2])
+        y = y + lam * f
+    return y, np.stack([x1, x2], axis=-1), np.stack([beta1, beta2], axis=-1)
+
+
+def _draw(
+    dgp_id: int, n_units: int, n_periods: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """y (R, N, T), x (R, N, T, K) and the unit slopes (R, N, K) of the
+    panels drawn from ``seeds``, stacked in their order.
+
+    Each panel comes from its own generator, and every operation on the
+    draws is elementwise, so a panel does not depend on its stack.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if DGP_N_REGRESSORS[dgp_id] == 1:
+        return _simulate_one_regressor(dgp_id, n_units, n_periods, rngs)
+    return _simulate_two_regressor(dgp_id, n_units, n_periods, rngs)
 
 
 def simulate_dgp(spec: DgpSpec) -> tuple[PanelData, SimTruth]:
@@ -156,11 +208,9 @@ def simulate_dgp(spec: DgpSpec) -> tuple[PanelData, SimTruth]:
     Deterministic given ``spec.seed``; the same spec always yields the same
     arrays bit for bit.
     """
-    rng = np.random.default_rng(spec.seed)
-    if spec.n_regressors == 1:
-        y, x, unit_betas = _simulate_one_regressor(spec, rng)
-    else:
-        y, x, unit_betas = _simulate_two_regressor(spec, rng)
+    y, x, unit_betas = (
+        a[0] for a in _draw(spec.dgp_id, spec.n_units, spec.n_periods, [spec.seed])
+    )
     panel = PanelData.from_arrays(y, x)
     truth = SimTruth(beta0=np.ones(spec.n_regressors), unit_betas=unit_betas)
     return panel, truth
@@ -223,45 +273,6 @@ class SimReport:
             json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
         )
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimReport":
-        if data.get("schema") != "panelmg/1":
-            raise OutOfRange(f"unknown report schema {data.get('schema')!r}")
-        cells = tuple(
-            SimCell(
-                dgp_id=int(c["dgp"]),
-                n_units=int(c["n_units"]),
-                n_periods=int(c["n_periods"]),
-                estimator=str(c["estimator"]),
-                replications=int(c["replications"]),
-                failures=int(c["failures"]),
-                bias_x10=tuple(float(v) for v in c["bias_x10"]),
-                mse_x100=tuple(float(v) for v in c["mse_x100"]),
-                coverage_95=(
-                    None
-                    if c["coverage_95"] is None
-                    else tuple(float(v) for v in c["coverage_95"])
-                ),
-                rejection_rate_5pct=(
-                    None
-                    if c["rejection_rate_5pct"] is None
-                    else float(c["rejection_rate_5pct"])
-                ),
-            )
-            for c in data["cells"]
-        )
-        return cls(
-            cells=cells,
-            base_seed=data.get("base_seed"),
-            replications=data.get("replications"),
-            level=float(data.get("level", 0.95)),
-            test_level=float(data.get("test_level", 0.05)),
-        )
-
-    @classmethod
-    def read_json(cls, path: str | Path) -> "SimReport":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
     _CSV_HEADER = (
         "dgp,n_units,n_periods,estimator,coefficient,replications,failures,"
         "bias_x10,mse_x100,coverage_95,rejection_rate_5pct"
@@ -292,44 +303,6 @@ class SimReport:
                             ),
                         ]
                     )
-
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "SimReport":
-        """Rebuild the cells from a CSV report (metadata lives in the JSON)."""
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != cls._CSV_HEADER:
-                raise OutOfRange(f"unexpected CSV report header: {header!r}")
-            grouped: dict[tuple, list[list[str]]] = {}
-            order: list[tuple] = []
-            for row in reader:
-                key = (row[0], row[1], row[2], row[3])
-                if key not in grouped:
-                    grouped[key] = []
-                    order.append(key)
-                grouped[key].append(row)
-        cells = []
-        for key in order:
-            rows = sorted(grouped[key], key=lambda r: int(r[4]))
-            first = rows[0]
-            cells.append(
-                SimCell(
-                    dgp_id=int(first[0]),
-                    n_units=int(first[1]),
-                    n_periods=int(first[2]),
-                    estimator=first[3],
-                    replications=int(first[5]),
-                    failures=int(first[6]),
-                    bias_x10=tuple(float(r[7]) for r in rows),
-                    mse_x100=tuple(float(r[8]) for r in rows),
-                    coverage_95=(
-                        None if first[9] == "" else tuple(float(r[9]) for r in rows)
-                    ),
-                    rejection_rate_5pct=None if first[10] == "" else float(first[10]),
-                )
-            )
-        return cls(cells=tuple(cells))
 
 
 def _derive_seed(base_seed: int, cell_index: int, replication: int) -> int:
@@ -404,6 +377,76 @@ def _replication(task: tuple) -> dict:
     return {"errors": errors, "covered": covered, "rejected": rejected}
 
 
+def _run_batch(tasks: Sequence[tuple]) -> list[dict]:
+    """``_replication`` of each task, the tasks of one cell run as one stack.
+
+    Each replication draws its own panel from its own seed, as
+    ``simulate_dgp`` draws it, and the panels are stacked into y (R, N, T)
+    and x (R, N, T, K). One demeaning and one pass per estimator fit them
+    all, and the leave-one-out values, Omega, coverage and the joint
+    statistic follow as stacked arrays; the per-coefficient Holm step is
+    skipped, as rejection does not use it.
+    What raises inside ``_replication`` is a mask here: a failing estimator
+    check, a flagged leave-one-out subsample, a non-finite value and a
+    singular OmegaDelta. A replication with any mask set runs again alone
+    through ``_replication``, so every result is ``_replication``'s.
+    """
+    dgp_id, n_units, n_periods, method_values, _, level, test_level = tasks[0]
+    methods = [Method(v) for v in method_values]
+    y, x, _ = _draw(dgp_id, n_units, n_periods, [task[4] for task in tasks])
+    dp = double_demean(SimpleNamespace(y=y, x=x))
+    k = DGP_N_REGRESSORS[dgp_id]
+    beta0 = np.ones(k)
+
+    betas, shifts = {}, {}
+    for m in methods:
+        betas[m], shifts[m] = estimate_stack(dp, m)
+    kappa = shifts.get(Method.TW_MG_RIDGE)
+    inf_methods = [m for m in methods if m in _INFERENCE_METHODS]
+    if inf_methods and Method.TW_POOLED not in betas:
+        betas[Method.TW_POOLED], _ = estimate_stack(dp, Method.TW_POOLED)
+    redo = np.zeros(len(tasks), dtype=bool)
+    for beta in betas.values():
+        redo |= ~np.isfinite(beta).all(axis=-1)
+    errors = {m: betas[m] - beta0 for m in methods}
+
+    covered, rejected = {}, {}
+    if inf_methods:
+        loo = {}
+        for m in inf_methods + [Method.TW_POOLED]:
+            loo[m], flagged = leave_one_out(dp, m, kappa)
+            redo |= flagged.any(axis=-1)
+        z = normal_quantile_upper((1.0 - level) / 2.0)
+        for m in inf_methods:
+            omega = omega_from_loo(loo[m])
+            se = np.sqrt(np.diagonal(omega, axis1=-2, axis2=-1) / n_units)
+            covered[m] = np.abs(errors[m]) <= z * se
+            delta = betas[m] - betas[Method.TW_POOLED]
+            omega_delta = omega_from_loo(loo[m] - loo[Method.TW_POOLED])
+            joint, singular = joint_statistics(delta, omega_delta, n_units)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                per_coef = n_units * delta**2 / np.diagonal(omega_delta, axis1=-2, axis2=-1)
+            # poolability_report refuses a negative or non-finite statistic
+            stats = np.concatenate([joint[..., None], per_coef], axis=-1)
+            redo |= singular | ~((stats >= 0.0) & np.isfinite(stats)).all(axis=-1)
+            # chi_square_upper_tail of each joint statistic
+            rejected[m] = gammaincc(k / 2.0, joint / 2.0) < test_level
+
+    results = []
+    for r, task in enumerate(tasks):
+        if redo[r]:
+            results.append(_replication(task))
+            continue
+        results.append(
+            {
+                "errors": {m.value: errors[m][r] for m in methods},
+                "covered": {m.value: covered[m][r] for m in inf_methods},
+                "rejected": {m.value: bool(rejected[m][r]) for m in inf_methods},
+            }
+        )
+    return results
+
+
 def _aggregate_cell(
     cell: tuple[int, int, int],
     methods: Sequence[Method],
@@ -472,11 +515,15 @@ def run_monte_carlo(
 ) -> SimReport:
     """Run the Monte Carlo over a grid of (dgp_id, n_units, n_periods) cells.
 
-    Replications are embarrassingly parallel: each derives its own seed from
-    (base_seed, cell index, replication index), and results are aggregated in
-    replication order, so the report is identical for any ``workers`` >= 1.
-    Estimator failures inside a replication are tallied per cell and excluded
-    from that cell's averages rather than aborting the run.
+    Each replication derives its own seed from (base_seed, cell index,
+    replication index). The unit of work is a batch: consecutive
+    replications of one cell, fitted as one stack (see the module
+    docstring), whose size depends only on the cell's shape. With
+    ``workers`` > 1 whole batches go to worker processes. Results are
+    aggregated in replication order, so the report is identical for any
+    ``workers`` >= 1 and any batch size. Estimator failures inside a
+    replication are tallied per cell and excluded from that cell's averages
+    rather than aborting the run.
     """
     if replications < 1:
         raise OutOfRange(f"need at least 1 replication, got {replications}")
@@ -525,12 +572,11 @@ def run_monte_carlo(
                 )
                 for r in range(replications)
             ]
+            size = max(1, _BATCH_ELEMENTS // (n_units * n_periods * DGP_N_REGRESSORS[dgp_id]))
+            batches = [tasks[i : i + size] for i in range(0, replications, size)]
             start = time.perf_counter()
-            if executor is not None:
-                chunk = max(1, replications // (workers * 4))
-                results = list(executor.map(_replication, tasks, chunksize=chunk))
-            else:
-                results = [_replication(t) for t in tasks]
+            run = map if executor is None else executor.map
+            results = [result for batch in run(_run_batch, batches) for result in batch]
             wall = time.perf_counter() - start
             all_cells.extend(
                 _aggregate_cell(cell, methods, results, replications, wall)

@@ -1,0 +1,206 @@
+"""Stacked panels: the kernels are bit-identical across batch shapes, and the
+batched Monte Carlo reports what its per-replication path reports."""
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import panelmg.simulation as simulation
+from panelmg import DGP_N_REGRESSORS, Method, PanelData, SimReport, estimate, run_monte_carlo
+from panelmg.cli import main
+from panelmg.errors import EstimationError
+from panelmg.estimators import (
+    _ridge_kappa,
+    _standard_mg,
+    _standard_mg_loo,
+    _tw_pooled,
+    _tw_pooled_loo,
+    estimate_stack,
+    leave_one_out,
+)
+from panelmg.gram import loo_two_way, two_way_slopes
+from panelmg.inference import joint_statistics, omega_from_loo
+from panelmg.panel import double_demean
+from panelmg.simulation import _aggregate_cell, _derive_seed, _replication
+from oracles import random_panel
+
+METHODS = [m.value for m in Method]
+
+
+def stack_of(seed, count, n, t, k, x_exp=0, y_exp=0):
+    """y (count, N, T) and x (count, N, T, K) of ``count`` random panels."""
+    panels = [random_panel(seed + r, n, t, k)[:2] for r in range(count)]
+    y = np.stack([p[0] for p in panels]) * 10.0**y_exp
+    x = np.stack([p[1] for p in panels]) * 10.0**x_exp
+    return y, x
+
+
+@st.composite
+def stacks(draw):
+    """Two to four random panels of one shape, one of them possibly weak."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 8))
+    t = draw(st.integers(k + 2, k + 4))
+    count = draw(st.integers(2, 4))
+    y, x = stack_of(
+        draw(st.integers(0, 2**32 - 1)),
+        count,
+        n,
+        t,
+        k,
+        draw(st.sampled_from([-8, 0, 8])),
+        draw(st.sampled_from([-8, 0, 8])),
+    )
+    r, unit = draw(st.integers(0, count - 1)), draw(st.integers(0, n - 1))
+    weakness = draw(st.sampled_from(["none", "constant", "collinear", "near-collinear"]))
+    if weakness == "constant":
+        x[r, unit, :, 0] = x[r, unit, 0, 0]
+    elif weakness != "none" and k > 1:
+        noise = 1e-4 if weakness == "near-collinear" else 0.0
+        x[r, unit, :, -1] = x[r, unit, :, 0] * (1.0 + noise * np.arange(t))
+    return y, x
+
+
+def assert_each_panel(stacked, single):
+    """Each output of ``stacked()`` holds, panel by panel, the outputs in
+    ``single`` computed on each panel alone."""
+    got = stacked()
+    for r, want in enumerate(single):
+        for g, w in zip(got, want):
+            assert np.array_equal(g[r], w, equal_nan=True), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+@example(stack_of(5, 3, n=3, t=6, k=4, x_exp=8, y_exp=-8))
+@example(stack_of(6, 2, n=3, t=3, k=1, x_exp=-8, y_exp=8))
+def test_kernels_are_bit_identical_across_batch_shapes(data):
+    y, x = data
+    dp = double_demean(SimpleNamespace(y=y, x=x))
+    alone = [double_demean(PanelData.from_arrays(y[r], x[r])) for r in range(len(y))]
+    kappa = _ridge_kappa(dp)
+    assert np.array_equal(kappa, [_ridge_kappa(d) for d in alone], equal_nan=True)
+    kappa = np.where(np.isfinite(kappa), kappa, 0.0)
+
+    assert_each_panel(lambda: [two_way_slopes(dp, 0.0)], [[two_way_slopes(d, 0.0)] for d in alone])
+    assert_each_panel(
+        lambda: [two_way_slopes(dp, kappa)],
+        [[two_way_slopes(d, kappa[r])] for r, d in enumerate(alone)],
+    )
+    assert_each_panel(lambda: loo_two_way(dp, 0.0), [loo_two_way(d, 0.0) for d in alone])
+    assert_each_panel(
+        lambda: loo_two_way(dp, kappa), [loo_two_way(d, kappa[r]) for r, d in enumerate(alone)]
+    )
+    assert_each_panel(lambda: [_tw_pooled(dp, None)], [[_tw_pooled(d, None)] for d in alone])
+    assert_each_panel(lambda: _tw_pooled_loo(dp), [_tw_pooled_loo(d) for d in alone])
+    assert_each_panel(lambda: [_standard_mg(dp, None)], [[_standard_mg(d, None)] for d in alone])
+    assert_each_panel(lambda: _standard_mg_loo(dp), [_standard_mg_loo(d) for d in alone])
+
+    loo = {}
+    for m in Method:
+        assert_each_panel(
+            lambda: [estimate_stack(dp, m)[0]], [[estimate_stack(d, m)[0]] for d in alone]
+        )
+        assert_each_panel(
+            lambda: leave_one_out(dp, m, kappa),
+            [leave_one_out(d, m, kappa[r]) for r, d in enumerate(alone)],
+        )
+        loo[m] = leave_one_out(dp, m, kappa)[0]
+        assert_each_panel(lambda: [omega_from_loo(loo[m])], [[omega_from_loo(v)] for v in loo[m]])
+    delta = estimate_stack(dp, Method.TW_MG)[0] - estimate_stack(dp, Method.TW_POOLED)[0]
+    omega = omega_from_loo(loo[Method.TW_MG] - loo[Method.TW_POOLED])
+    n = dp.n_units
+    assert_each_panel(
+        lambda: joint_statistics(delta, omega, n),
+        [joint_statistics(d, o, n) for d, o in zip(delta, omega)],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks(), st.sampled_from(METHODS))
+def test_stacked_estimates_are_the_public_estimates(data, method):
+    y, x = data
+    beta, kappa = estimate_stack(double_demean(SimpleNamespace(y=y, x=x)), method)
+    for r in range(len(y)):
+        try:
+            est = estimate(PanelData.from_arrays(y[r], x[r]), method)
+        except EstimationError:
+            assert np.isnan(beta[r]).all()
+            continue
+        assert np.array_equal(beta[r], est.beta_hat)
+        assert est.kappa_used == (None if kappa is None else kappa[r])
+
+
+def report_text(report):
+    return json.dumps(report.to_json_dict())
+
+
+def folded_report(cells, methods, replications, seed):
+    """The report as a loop of ``_replication`` over every task makes it."""
+    methods = [Method(m) for m in dict.fromkeys(methods)]
+    values = tuple(m.value for m in methods)
+    folded = []
+    for ci, cell in enumerate(cells):
+        seeds = [_derive_seed(seed, ci, r) for r in range(replications)]
+        results = [_replication((*cell, values, s, 0.95, 0.05)) for s in seeds]
+        folded += _aggregate_cell(cell, methods, results, replications, 0.0)
+    return SimReport(tuple(folded), seed, replications)
+
+
+@st.composite
+def monte_carlo_cases(draw):
+    dgp = draw(st.integers(1, 6))
+    k = DGP_N_REGRESSORS[dgp]
+    methods = draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=4, unique=True))
+    ridge_only = not {"tw-mg", "mg"} & set(methods)
+    t = draw(st.integers(3 if ridge_only else k + 2, 8))
+    cell = (dgp, draw(st.integers(3, 30)), t)
+    return [cell], methods, draw(st.integers(1, 7)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monte_carlo_cases())
+@example(([(4, 3, 4), (6, 3, 4)], METHODS, 7, 3))
+@example(([(1, 3, 3)], ["tw-mg-ridge", "tw-pooled"], 5, 11))
+def test_reports_do_not_depend_on_batches_or_workers(case):
+    cells, methods, replications, seed = case
+    want = report_text(run_monte_carlo(cells, methods, replications, seed))
+    dgp, n, t = cells[0]
+    for cap in (1, 3 * n * t * DGP_N_REGRESSORS[dgp]):  # one and three replications
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_BATCH_ELEMENTS", cap)
+            assert report_text(run_monte_carlo(cells, methods, replications, seed)) == want
+    assert report_text(run_monte_carlo(cells, methods, replications, seed, workers=2)) == want
+    assert report_text(folded_report(cells, methods, replications, seed)) == want
+
+
+def count_replications(monkeypatch):
+    calls = []
+    real = simulation._replication
+
+    def replication(task):
+        calls.append(task)
+        return real(task)
+
+    monkeypatch.setattr(simulation, "_replication", replication)
+    return calls
+
+
+def test_failing_replications_fall_back(monkeypatch):
+    cells = [(4, 3, 4), (6, 3, 4)]
+    calls = count_replications(monkeypatch)
+    report = run_monte_carlo(cells, METHODS, 30, 3)
+    assert calls
+    assert report_text(report) == report_text(folded_report(cells, METHODS, 30, 3))
+
+
+def test_mc_grid_shape_takes_the_stacked_path(monkeypatch, tmp_path, capsys):
+    calls = count_replications(monkeypatch)
+    argv = ["simulate", "--dgp", "1,4", "--n", "100", "--t", "5,10", "--reps", "20"]
+    assert main(argv + ["--seed", "2024", "--output-prefix", str(tmp_path / "grid")]) == 0
+    capsys.readouterr()
+    assert calls == []

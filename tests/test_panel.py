@@ -240,7 +240,8 @@ def faulty_records(draw):
         if fault == "ragged":
             rec = rec[:-1] if draw(st.booleans()) else rec + ["1.0"]
         elif fault == "bad":
-            rec[draw(st.integers(2, len(rec) - 1))] = draw(BAD_CELLS)
+            if len(rec) > 2:  # two ragged cuts can leave only the labels
+                rec[draw(st.integers(2, len(rec) - 1))] = draw(BAD_CELLS)
         elif fault == "duplicate":
             copy = rec[:2] + [draw(GOOD_CELLS) for _ in rec[2:]]
             records.insert(draw(st.integers(0, len(records))), copy)
@@ -326,6 +327,26 @@ class TestReadCsv:
     def test_malformed_header(self, tmp_path, header):
         f = self.write(tmp_path / "bad.csv", header + "\na,1,0,0\n")
         with pytest.raises(MalformedInput, match="header"):
+            read_csv(f)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "header,rows,message",
+        [
+            ("unit,time,y,x1", ["a,1,1,2,3", "a,2,4,5,6", "b,1,7,8,9", "b,2,1,2,3"],
+             "^record 1 has 5 fields, expected 4$"),
+            ("unit,time,y,x1,x2", ["a,1,1,2", "a,2,4,5", "b,1,7,8", "b,2,1,2"],
+             "^record 1 has 4 fields, expected 5$"),
+            ("unit,time,y,x1", ["a,1,1,2", "a,2,4,5", "b,1,7,8,9", "b,2,1,2,3"],
+             "^record 3 has 5 fields, expected 4$"),
+            ("unit,time,y,x1", ["a,1,zz,2", "a,2,4,5,6", "b,1,7,8,9", "b,2,1,2,3"],
+             "cannot parse value in record 1"),
+        ],
+    )
+    def test_records_must_be_as_wide_as_the_header(self, tmp_path, header, rows, message, newline):
+        f = tmp_path / "wide.csv"
+        f.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
+        with pytest.raises(MalformedInput, match=message):
             read_csv(f)
 
     def test_empty_file(self, tmp_path):

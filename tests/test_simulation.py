@@ -1,6 +1,7 @@
 """Simulated processes replayed draw by draw, plus the Monte Carlo loop."""
 
-import dataclasses
+import csv
+import json
 import math
 
 import numpy as np
@@ -417,26 +418,38 @@ class TestSerialization:
         for cell in doc["cells"]:
             assert "wall_time_s" not in cell
 
-    def test_json_round_trip(self, report, tmp_path):
+    def test_json_file_holds_the_document(self, report, tmp_path):
         path = tmp_path / "report.json"
         report.write_json(path)
-        back = SimReport.read_json(path)
-        stripped = tuple(
-            dataclasses.replace(c, wall_time_s=0.0) for c in report.cells
-        )
-        assert back.cells == stripped
-        assert back.base_seed == report.base_seed
-        assert back.replications == report.replications
-        assert back.to_json_dict() == report.to_json_dict()
+        assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_dict()
 
-    def test_csv_round_trip(self, report, tmp_path):
+    def test_csv_rows_hold_the_cells(self, report, tmp_path):
         path = tmp_path / "report.csv"
         report.write_csv(path)
-        back = SimReport.read_csv(path)
-        stripped = tuple(
-            dataclasses.replace(c, wall_time_s=0.0) for c in report.cells
-        )
-        assert back.cells == stripped
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == SimReport._CSV_HEADER
+
+        def number(field):
+            return None if field == "" else float(field)
+
+        got = [
+            (int(r[0]), int(r[1]), int(r[2]), r[3], int(r[4]), int(r[5]), int(r[6]))
+            + tuple(number(f) for f in r[7:])
+            for r in rows[1:]
+        ]
+        want = [
+            (c.dgp_id, c.n_units, c.n_periods, c.estimator, j + 1, c.replications, c.failures)
+            + (
+                c.bias_x10[j],
+                c.mse_x100[j],
+                None if c.coverage_95 is None else c.coverage_95[j],
+                c.rejection_rate_5pct,
+            )
+            for c in report.cells
+            for j in range(len(c.bias_x10))
+        ]
+        assert got == want
 
     def test_csv_has_one_row_per_coefficient(self, report, tmp_path):
         path = tmp_path / "report.csv"
@@ -445,13 +458,3 @@ class TestSerialization:
         want_rows = sum(len(c.bias_x10) for c in report.cells)
         assert len(lines) == 1 + want_rows
         assert lines[0].split(",") == SimReport._CSV_HEADER
-
-    def test_rejects_unknown_json_schema(self):
-        with pytest.raises(OutOfRange, match="schema"):
-            SimReport.from_json_dict({"schema": "nope", "cells": []})
-
-    def test_rejects_unknown_csv_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(OutOfRange, match="header"):
-            SimReport.read_csv(path)
