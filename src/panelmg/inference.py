@@ -65,7 +65,6 @@ __all__ = [
     "jackknife",
     "confidence_interval",
     "poolability_test",
-    "poolability_report",
     "loo_estimates",
     "omega_from_loo",
     "holm_adjust",
@@ -236,17 +235,6 @@ def joint_statistics(
     return np.where(singular, 0.0, joint), singular
 
 
-def _joint_statistic(delta: np.ndarray, omega_delta: np.ndarray, n: int) -> float:
-    """J = N delta' OmegaDelta^{-1} delta, gated on OmegaDelta invertibility."""
-    joint, singular = joint_statistics(delta, omega_delta, n)
-    if singular:
-        raise SingularOmegaDelta(
-            "jackknife covariance of the mean-group/pooled contrast is "
-            "numerically singular; the joint statistic is not defined"
-        )
-    return float(joint)
-
-
 def jackknife(
     panel: PanelData,
     method: Method | str,
@@ -329,47 +317,6 @@ def confidence_interval(
     )
 
 
-def poolability_report(
-    delta: np.ndarray,
-    delta_loo: np.ndarray,
-    kappa_used: float | None,
-) -> PoolabilityReport:
-    """Homogeneity test of the contrast delta = b_mg - b_pooled.
-
-    ``delta_loo`` holds the N x K leave-one-out values of the contrast.
-    ``kappa_used`` is the ridge shift of a ridge mean-group side, else None.
-    """
-    n, k = delta_loo.shape
-    omega_delta = omega_from_loo(delta_loo)
-    joint = _joint_statistic(delta, omega_delta, n)
-    per = []
-    raw = []
-    for j in range(k):
-        stat = float(n * delta[j] ** 2 / omega_delta[j, j])
-        raw.append(chi_square_upper_tail(stat, 1))
-        per.append((j, stat))
-    holm = holm_adjust(raw)
-    per_coef = tuple(
-        PerCoefficientTest(
-            coefficient_index=j,
-            statistic=stat,
-            p_value=raw[j],
-            holm_p_value=holm[j],
-        )
-        for j, stat in per
-    )
-    return PoolabilityReport(
-        joint_stat=joint,
-        joint_df=k,
-        joint_pvalue=chi_square_upper_tail(joint, k),
-        per_coef=per_coef,
-        delta=delta,
-        omega_delta=omega_delta,
-        ridge_based=kappa_used is not None,
-        kappa_used=kappa_used,
-    )
-
-
 def poolability_test(panel: PanelData, use_ridge: bool = False) -> PoolabilityReport:
     """Test slope homogeneity by contrasting mean-group and pooled estimates.
 
@@ -387,8 +334,27 @@ def poolability_test(panel: PanelData, use_ridge: bool = False) -> PoolabilityRe
     ridge_kappa = full_mg.kappa_used
     full_pooled = estimate(panel, Method.TW_POOLED)
     loo = loo_estimates(panel, [base, Method.TW_POOLED], ridge_kappa)
-    return poolability_report(
-        full_mg.beta_hat - full_pooled.beta_hat,
-        loo[base] - loo[Method.TW_POOLED],
-        ridge_kappa,
+    delta = full_mg.beta_hat - full_pooled.beta_hat
+    n, k = panel.n_units, panel.n_regressors
+    omega_delta = omega_from_loo(loo[base] - loo[Method.TW_POOLED])
+    joint, singular = joint_statistics(delta, omega_delta, n)
+    if singular:
+        raise SingularOmegaDelta(
+            "jackknife covariance of the mean-group/pooled contrast is "
+            "numerically singular; the joint statistic is not defined"
+        )
+    stats = [float(n * delta[j] ** 2 / omega_delta[j, j]) for j in range(k)]
+    raw = [chi_square_upper_tail(stat, 1) for stat in stats]
+    holm = holm_adjust(raw)
+    return PoolabilityReport(
+        joint_stat=float(joint),
+        joint_df=k,
+        joint_pvalue=chi_square_upper_tail(float(joint), k),
+        per_coef=tuple(
+            PerCoefficientTest(j, stats[j], raw[j], holm[j]) for j in range(k)
+        ),
+        delta=delta,
+        omega_delta=omega_delta,
+        ridge_based=ridge_kappa is not None,
+        kappa_used=ridge_kappa,
     )

@@ -27,11 +27,14 @@ alone. Each replication still draws its panel from its own seed; the panels
 of a batch are stacked, demeaned once, and fitted by one stacked pass per
 estimator, which gives every panel the floating-point result it gets alone.
 Leave-one-out values, Omega, coverage and the joint homogeneity statistic
-follow as stacked arrays. What raises in the one-panel path is a mask in
-the stacked one: a failing estimator check, a flagged leave-one-out
-subsample, a non-finite value, a singular OmegaDelta. A replication with a
-mask set runs again alone through ``_replication``, which records its
-failures, so every replication's result is the one ``_replication`` gives.
+follow as stacked arrays, and what would raise for one panel is a mask on
+the stack. A failing estimator gives a NaN row, counted as a failure. A
+panel whose leave-one-out subsamples are flagged for one estimator has that
+estimator's values re-estimated alone by ``inference.loo_estimates``; if
+that raises, the panel has no interval for it, and no test if it is
+tw-pooled's values that fail. A singular OmegaDelta, or a joint statistic
+that is not finite and >= 0, gives no test either. So each replication's
+result is the one a loop of the public one-panel functions gives.
 """
 
 from __future__ import annotations
@@ -48,15 +51,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .errors import OutOfRange, PanelMgError, SingularOmegaDelta
-from .estimators import Method, estimate, estimate_stack, leave_one_out
-from .inference import (
-    joint_statistics,
-    loo_estimates,
-    normal_quantile_upper,
-    omega_from_loo,
-    poolability_report,
-)
+from .errors import OutOfRange, PanelMgError
+from .estimators import Method, estimate_stack, leave_one_out
+from .inference import joint_statistics, loo_estimates, normal_quantile_upper, omega_from_loo
 from .panel import PanelData, double_demean
 
 __all__ = [
@@ -310,194 +307,121 @@ def _derive_seed(base_seed: int, cell_index: int, replication: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _replication(task: tuple) -> dict:
-    """Run one replication: simulate, estimate, and do jackknife inference.
+def _loo_stack(y, x, dp, method: Method, kappa, wanted: np.ndarray):
+    """Leave-one-out values (R, N, K) of ``method`` on the panels of a
+    stack, and the (R,) mask of the panels that have them.
 
-    Module-level and tuple-driven so it pickles cleanly into worker processes.
+    Only the ``wanted`` panels have values. One of them with a flagged
+    subsample is re-estimated alone by ``loo_estimates``, as one panel
+    would be; if that raises, the panel has none. A panel without values
+    holds zeros, so the stacked arithmetic on them stays finite.
     """
-    dgp_id, n_units, n_periods, method_values, seed, level, test_level = task
-    methods = [Method(v) for v in method_values]
-    panel, truth = simulate_dgp(DgpSpec(dgp_id, n_units, n_periods, seed))
-    errors: dict[str, np.ndarray | None] = {}
-    estimates = {}
-    for m in methods:
+    values, flagged = leave_one_out(dp, method, kappa)
+    has = wanted.copy()
+    for r in np.flatnonzero(wanted & flagged.any(axis=-1)):
+        panel = PanelData.from_arrays(y[r], x[r])
+        kappa_r = None if kappa is None else float(kappa[r])
         try:
-            est = estimate(panel, m)
-            estimates[m] = est
-            errors[m.value] = est.beta_hat - truth.beta0
+            values[r] = loo_estimates(panel, [method], kappa_r)[method]
         except PanelMgError:
-            errors[m.value] = None
-    # The leave-one-out ridge fits keep the full-sample shift.
-    ridge = estimates.get(Method.TW_MG_RIDGE)
-    kappa = ridge.kappa_used if ridge is not None else None
-
-    covered: dict[str, np.ndarray | None] = {}
-    rejected: dict[str, bool | None] = {}
-    inf_methods = [
-        m for m in methods if m in _INFERENCE_METHODS and errors[m.value] is not None
-    ]
-    loo: dict[Method, np.ndarray] = {}
-    pooled_full = None
-    if inf_methods:
-        wanted = list(inf_methods) + [Method.TW_POOLED]
-        try:
-            loo = loo_estimates(panel, wanted, kappa)
-        except PanelMgError:
-            # Coverage needs only a method's own values, so one failing
-            # method must not cost the others theirs.
-            for m in wanted:
-                try:
-                    loo.update(loo_estimates(panel, [m], kappa))
-                except PanelMgError:
-                    pass
-        try:
-            pooled_full = estimates.get(Method.TW_POOLED) or estimate(
-                panel, Method.TW_POOLED
-            )
-        except PanelMgError:
-            pass
-    z = normal_quantile_upper((1.0 - level) / 2.0)
-    for m in inf_methods:
-        if m not in loo:
-            continue  # a missing entry counts as no inference
-        omega = omega_from_loo(loo[m])
-        se = np.sqrt(np.diag(omega) / n_units)
-        covered[m.value] = np.abs(errors[m.value]) <= z * se
-        if pooled_full is None or Method.TW_POOLED not in loo:
-            continue
-        try:
-            report = poolability_report(
-                estimates[m].beta_hat - pooled_full.beta_hat,
-                loo[m] - loo[Method.TW_POOLED],
-                kappa if m is Method.TW_MG_RIDGE else None,
-            )
-            rejected[m.value] = bool(report.joint_pvalue < test_level)
-        except SingularOmegaDelta:
-            rejected[m.value] = None
-    return {"errors": errors, "covered": covered, "rejected": rejected}
+            has[r] = False
+    values[~has] = 0.0
+    return values, has
 
 
-def _run_batch(tasks: Sequence[tuple]) -> list[dict]:
-    """``_replication`` of each task, the tasks of one cell run as one stack.
+def _run_batch(batch: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The replications of one cell, run as one stack.
 
-    Each replication draws its own panel from its own seed, as
+    ``batch`` is (dgp, N, T, estimator names, seeds, level, test level),
+    one seed per replication. Each replication draws its own panel from its own seed, as
     ``simulate_dgp`` draws it, and the panels are stacked into y (R, N, T)
     and x (R, N, T, K). One demeaning and one pass per estimator fit them
     all, and the leave-one-out values, Omega, coverage and the joint
-    statistic follow as stacked arrays; the per-coefficient Holm step is
-    skipped, as rejection does not use it.
-    What raises inside ``_replication`` is a mask here: a failing estimator
-    check, a flagged leave-one-out subsample, a non-finite value and a
-    singular OmegaDelta. A replication with any mask set runs again alone
-    through ``_replication``, so every result is ``_replication``'s.
+    statistic follow as stacked arrays.
+
+    Returns, per replication and estimator, the estimation errors (R, M, K),
+    NaN where the estimator fails; whether each coefficient's interval
+    covers the truth (R, M, K); and whether the homogeneity test rejects
+    (R, M). Coverage is NaN where the estimator or its leave-one-out values
+    fail, rejection also where tw-pooled's do or OmegaDelta is singular.
     """
-    dgp_id, n_units, n_periods, method_values, _, level, test_level = tasks[0]
+    dgp_id, n_units, n_periods, method_values, seeds, level, test_level = batch
     methods = [Method(v) for v in method_values]
-    y, x, _ = _draw(dgp_id, n_units, n_periods, [task[4] for task in tasks])
+    y, x, _ = _draw(dgp_id, n_units, n_periods, seeds)
     dp = double_demean(SimpleNamespace(y=y, x=x))
     k = DGP_N_REGRESSORS[dgp_id]
-    beta0 = np.ones(k)
 
     betas, shifts = {}, {}
     for m in methods:
         betas[m], shifts[m] = estimate_stack(dp, m)
-    kappa = shifts.get(Method.TW_MG_RIDGE)
+    errors = np.stack([betas[m] - np.ones(k) for m in methods], axis=1)
+    covered = np.full(errors.shape, np.nan)
+    rejected = np.full(errors.shape[:-1], np.nan)
     inf_methods = [m for m in methods if m in _INFERENCE_METHODS]
-    if inf_methods and Method.TW_POOLED not in betas:
-        betas[Method.TW_POOLED], _ = estimate_stack(dp, Method.TW_POOLED)
-    redo = np.zeros(len(tasks), dtype=bool)
-    for beta in betas.values():
-        redo |= ~np.isfinite(beta).all(axis=-1)
-    errors = {m: betas[m] - beta0 for m in methods}
+    if not inf_methods:
+        return errors, covered, rejected
+    pooled = Method.TW_POOLED
+    if pooled not in betas:
+        betas[pooled], _ = estimate_stack(dp, pooled)
+    # The leave-one-out ridge fits keep the full-sample shift; where it is
+    # not finite, the ridge estimate failed and needs no such fits.
+    kappa = shifts.get(Method.TW_MG_RIDGE)
+    if kappa is not None:
+        kappa = np.where(np.isfinite(kappa), kappa, 0.0)
+    loo, has = {}, {}
+    for m in inf_methods + [pooled]:
+        wanted = np.isfinite(betas[m]).all(axis=-1)
+        loo[m], has[m] = _loo_stack(y, x, dp, m, kappa, wanted)
 
-    covered, rejected = {}, {}
-    if inf_methods:
-        loo = {}
-        for m in inf_methods + [Method.TW_POOLED]:
-            loo[m], flagged = leave_one_out(dp, m, kappa)
-            redo |= flagged.any(axis=-1)
-        z = normal_quantile_upper((1.0 - level) / 2.0)
-        for m in inf_methods:
-            omega = omega_from_loo(loo[m])
-            se = np.sqrt(np.diagonal(omega, axis1=-2, axis2=-1) / n_units)
-            covered[m] = np.abs(errors[m]) <= z * se
-            delta = betas[m] - betas[Method.TW_POOLED]
-            omega_delta = omega_from_loo(loo[m] - loo[Method.TW_POOLED])
-            joint, singular = joint_statistics(delta, omega_delta, n_units)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                per_coef = n_units * delta**2 / np.diagonal(omega_delta, axis1=-2, axis2=-1)
-            # poolability_report refuses a negative or non-finite statistic
-            stats = np.concatenate([joint[..., None], per_coef], axis=-1)
-            redo |= singular | ~((stats >= 0.0) & np.isfinite(stats)).all(axis=-1)
-            # chi_square_upper_tail of each joint statistic
-            rejected[m] = gammaincc(k / 2.0, joint / 2.0) < test_level
-
-    results = []
-    for r, task in enumerate(tasks):
-        if redo[r]:
-            results.append(_replication(task))
-            continue
-        results.append(
-            {
-                "errors": {m.value: errors[m][r] for m in methods},
-                "covered": {m.value: covered[m][r] for m in inf_methods},
-                "rejected": {m.value: bool(rejected[m][r]) for m in inf_methods},
-            }
-        )
-    return results
+    z = normal_quantile_upper((1.0 - level) / 2.0)
+    for m in inf_methods:
+        j = methods.index(m)
+        omega = omega_from_loo(loo[m])
+        se = np.sqrt(np.diagonal(omega, axis1=-2, axis2=-1) / n_units)
+        covered[has[m], j] = (np.abs(errors[:, j]) <= z * se)[has[m]]
+        delta = betas[m] - betas[pooled]
+        omega_delta = omega_from_loo(loo[m] - loo[pooled])
+        joint, singular = joint_statistics(delta, omega_delta, n_units)
+        tested = has[m] & has[pooled] & ~singular & np.isfinite(joint) & (joint >= 0.0)
+        # chi_square_upper_tail of each joint statistic
+        rejected[tested, j] = (gammaincc(k / 2.0, joint / 2.0) < test_level)[tested]
+    return errors, covered, rejected
 
 
 def _aggregate_cell(
     cell: tuple[int, int, int],
     methods: Sequence[Method],
-    results: list[dict],
-    replications: int,
+    errors: np.ndarray,
+    covered: np.ndarray,
+    rejected: np.ndarray,
     wall_time: float,
 ) -> list[SimCell]:
+    """One SimCell per estimator from a cell's replications, given as
+    ``_run_batch`` gives them: errors and coverage (R, M, K), rejection
+    (R, M), each NaN where a replication has none."""
     dgp_id, n_units, n_periods = cell
-    k = DGP_N_REGRESSORS[dgp_id]
+    nan = (float("nan"),) * DGP_N_REGRESSORS[dgp_id]
     out = []
-    for m in methods:
-        errs = [r["errors"][m.value] for r in results]
-        ok = np.array([e for e in errs if e is not None])
-        failures = replications - len(ok)
+    for j, m in enumerate(methods):
+        ok = errors[:, j][np.isfinite(errors[:, j]).all(axis=-1)]
+        bias, mse = nan, nan
         if len(ok):
             bias = tuple(float(v) for v in 10.0 * ok.mean(axis=0))
             mse = tuple(float(v) for v in 100.0 * np.square(ok).mean(axis=0))
-        else:
-            bias = tuple([float("nan")] * k)
-            mse = tuple([float("nan")] * k)
-        coverage = None
-        rejection = None
-        if m in _INFERENCE_METHODS:
-            cov_rows = [
-                r["covered"].get(m.value)
-                for r in results
-                if r["covered"].get(m.value) is not None
-            ]
-            if cov_rows:
-                coverage = tuple(
-                    float(v) for v in np.array(cov_rows, dtype=float).mean(axis=0)
-                )
-            rej_rows = [
-                r["rejected"].get(m.value)
-                for r in results
-                if r["rejected"].get(m.value) is not None
-            ]
-            if rej_rows:
-                rejection = float(np.mean(rej_rows))
+        cov = covered[:, j][~np.isnan(covered[:, j, 0])]
+        rej = rejected[:, j][~np.isnan(rejected[:, j])]
         out.append(
             SimCell(
                 dgp_id=dgp_id,
                 n_units=n_units,
                 n_periods=n_periods,
                 estimator=m.value,
-                replications=replications,
-                failures=failures,
+                replications=len(errors),
+                failures=len(errors) - len(ok),
                 bias_x10=bias,
                 mse_x100=mse,
-                coverage_95=coverage,
-                rejection_rate_5pct=rejection,
+                coverage_95=tuple(float(v) for v in cov.mean(axis=0)) if len(cov) else None,
+                rejection_rate_5pct=float(rej.mean()) if len(rej) else None,
                 wall_time_s=wall_time,
             )
         )
@@ -521,9 +445,10 @@ def run_monte_carlo(
     docstring), whose size depends only on the cell's shape. With
     ``workers`` > 1 whole batches go to worker processes. Results are
     aggregated in replication order, so the report is identical for any
-    ``workers`` >= 1 and any batch size. Estimator failures inside a
-    replication are tallied per cell and excluded from that cell's averages
-    rather than aborting the run.
+    ``workers`` >= 1 and any batch size. A replication whose estimator
+    fails is tallied per cell and excluded from that cell's averages rather
+    than aborting the run; one whose leave-one-out values or homogeneity
+    test fail is left out of that cell's coverage or rejection rate.
     """
     if replications < 1:
         raise OutOfRange(f"need at least 1 replication, got {replications}")
@@ -560,27 +485,17 @@ def run_monte_carlo(
     try:
         for ci, cell in enumerate(cells):
             dgp_id, n_units, n_periods = cell
-            tasks = [
-                (
-                    dgp_id,
-                    n_units,
-                    n_periods,
-                    method_values,
-                    _derive_seed(base_seed, ci, r),
-                    level,
-                    test_level,
-                )
-                for r in range(replications)
-            ]
             size = max(1, _BATCH_ELEMENTS // (n_units * n_periods * DGP_N_REGRESSORS[dgp_id]))
-            batches = [tasks[i : i + size] for i in range(0, replications, size)]
+            seeds = [_derive_seed(base_seed, ci, r) for r in range(replications)]
+            batches = [
+                (*cell, method_values, seeds[i : i + size], level, test_level)
+                for i in range(0, replications, size)
+            ]
             start = time.perf_counter()
             run = map if executor is None else executor.map
-            results = [result for batch in run(_run_batch, batches) for result in batch]
+            errors, covered, rejected = (np.concatenate(a) for a in zip(*run(_run_batch, batches)))
             wall = time.perf_counter() - start
-            all_cells.extend(
-                _aggregate_cell(cell, methods, results, replications, wall)
-            )
+            all_cells.extend(_aggregate_cell(cell, methods, errors, covered, rejected, wall))
     finally:
         if executor is not None:
             executor.shutdown()

@@ -238,3 +238,97 @@ def batched_capacitance_loo(dp, kappa):
         + np.einsum("nkt,nt->nk", sum_a, w)
     ) / (n - 1)
     return values, flagged
+
+
+def literal_replication(task):
+    """One Monte Carlo replication as a loop of the public one-panel functions.
+
+    ``task`` is (dgp, N, T, estimator names, seed, level, test level). The
+    panel comes from ``simulate_dgp``; each estimator is run on it, and each
+    two-way mean-group estimator that succeeds gets its jackknife interval
+    from ``loo_estimates`` and its homogeneity test from
+    ``poolability_test``. A method whose leave-one-out values fail loses
+    only its own interval and test; tw-pooled's failing costs every test.
+    Returns the row ``simulation._run_batch`` gives the replication: errors
+    and coverage (M, K) and rejection (M,), NaN where there is none.
+    """
+    from panelmg import (
+        DgpSpec,
+        Method,
+        OutOfRange,
+        PanelMgError,
+        SingularOmegaDelta,
+        estimate,
+        normal_quantile_upper,
+        poolability_test,
+        simulate_dgp,
+    )
+    from panelmg.inference import loo_estimates, omega_from_loo
+
+    dgp_id, n_units, n_periods, method_values, seed, level, test_level = task
+    methods = [Method(v) for v in method_values]
+    panel, truth = simulate_dgp(DgpSpec(dgp_id, n_units, n_periods, seed))
+    errors = np.full((len(methods), panel.n_regressors), np.nan)
+    covered = np.full(errors.shape, np.nan)
+    rejected = np.full(len(methods), np.nan)
+    estimates = {}
+    for j, m in enumerate(methods):
+        try:
+            estimates[m] = estimate(panel, m)
+        except PanelMgError:
+            continue
+        errors[j] = estimates[m].beta_hat - truth.beta0
+    # The leave-one-out ridge fits keep the full-sample shift.
+    ridge = estimates.get(Method.TW_MG_RIDGE)
+    kappa = ridge.kappa_used if ridge is not None else None
+
+    inf_methods = [m for m in estimates if m in (Method.TW_MG, Method.TW_MG_RIDGE)]
+    loo = {}
+    pooled_full = None
+    if inf_methods:
+        wanted = inf_methods + [Method.TW_POOLED]
+        try:
+            loo = loo_estimates(panel, wanted, kappa)
+        except PanelMgError:
+            for m in wanted:
+                try:
+                    loo.update(loo_estimates(panel, [m], kappa))
+                except PanelMgError:
+                    pass
+        try:
+            pooled_full = estimates.get(Method.TW_POOLED) or estimate(panel, Method.TW_POOLED)
+        except PanelMgError:
+            pass
+    z = normal_quantile_upper((1.0 - level) / 2.0)
+    for m in inf_methods:
+        if m not in loo:
+            continue
+        j = methods.index(m)
+        se = np.sqrt(np.diag(omega_from_loo(loo[m])) / n_units)
+        covered[j] = np.abs(errors[j]) <= z * se
+        if pooled_full is None or Method.TW_POOLED not in loo:
+            continue
+        try:
+            report = poolability_test(panel, use_ridge=m is Method.TW_MG_RIDGE)
+        except (SingularOmegaDelta, OutOfRange):
+            continue  # singular OmegaDelta, or a statistic with no p-value
+        rejected[j] = report.joint_pvalue < test_level
+    return errors, covered, rejected
+
+
+def literal_monte_carlo(cells, methods, replications, seed):
+    """``run_monte_carlo``'s report as a loop of ``literal_replication`` over
+    every replication, at the default levels and with no wall time."""
+    from panelmg import Method, SimReport
+    from panelmg.simulation import _aggregate_cell, _derive_seed
+
+    methods = [Method(m) for m in dict.fromkeys(methods)]
+    values = tuple(m.value for m in methods)
+    folded = []
+    for ci, cell in enumerate(cells):
+        rows = [
+            literal_replication((*cell, values, _derive_seed(seed, ci, r), 0.95, 0.05))
+            for r in range(replications)
+        ]
+        folded += _aggregate_cell(cell, methods, *(np.stack(a) for a in zip(*rows)), 0.0)
+    return SimReport(tuple(folded), seed, replications)

@@ -246,16 +246,15 @@ def test_criterion_9_performance_contract():
         jackknife(mid, "tw-mg")
         assert time.perf_counter() - start < 30.0
 
-        def best_time(panel):
-            times = []
-            for _ in range(15):
-                t0 = time.perf_counter()
-                estimate(panel, "tw-mg")
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
         y, x, _ = random_panel(11, 2500, 10, 2)
         half = PanelData.from_arrays(y, x)
         y, x, _ = random_panel(12, 5000, 10, 2)
         full = PanelData.from_arrays(y, x)
-        assert best_time(full) <= 3.0 * best_time(half)
+        # The two sizes are timed in turn, so a slow spell hits both.
+        times = {"half": [], "full": []}
+        for _ in range(15):
+            for name, panel in (("half", half), ("full", full)):
+                t0 = time.perf_counter()
+                estimate(panel, "tw-mg")
+                times[name].append(time.perf_counter() - t0)
+        assert min(times["full"]) <= 3.0 * min(times["half"])

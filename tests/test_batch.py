@@ -1,5 +1,5 @@
 """Stacked panels: the kernels are bit-identical across batch shapes, and the
-batched Monte Carlo reports what its per-replication path reports."""
+batched Monte Carlo reports what a loop of one-panel replications reports."""
 
 import json
 from types import SimpleNamespace
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import panelmg.simulation as simulation
-from panelmg import DGP_N_REGRESSORS, Method, PanelData, SimReport, estimate, run_monte_carlo
+from panelmg import DGP_N_REGRESSORS, Method, PanelData, estimate, run_monte_carlo
 from panelmg.cli import main
 from panelmg.errors import EstimationError
 from panelmg.estimators import (
@@ -25,8 +25,7 @@ from panelmg.estimators import (
 from panelmg.gram import loo_two_way, two_way_slopes
 from panelmg.inference import joint_statistics, omega_from_loo
 from panelmg.panel import double_demean
-from panelmg.simulation import _aggregate_cell, _derive_seed, _replication
-from oracles import random_panel
+from oracles import literal_monte_carlo, random_panel
 
 METHODS = [m.value for m in Method]
 
@@ -139,18 +138,6 @@ def report_text(report):
     return json.dumps(report.to_json_dict())
 
 
-def folded_report(cells, methods, replications, seed):
-    """The report as a loop of ``_replication`` over every task makes it."""
-    methods = [Method(m) for m in dict.fromkeys(methods)]
-    values = tuple(m.value for m in methods)
-    folded = []
-    for ci, cell in enumerate(cells):
-        seeds = [_derive_seed(seed, ci, r) for r in range(replications)]
-        results = [_replication((*cell, values, s, 0.95, 0.05)) for s in seeds]
-        folded += _aggregate_cell(cell, methods, results, replications, 0.0)
-    return SimReport(tuple(folded), seed, replications)
-
-
 @st.composite
 def monte_carlo_cases(draw):
     dgp = draw(st.integers(1, 6))
@@ -175,32 +162,51 @@ def test_reports_do_not_depend_on_batches_or_workers(case):
             mp.setattr(simulation, "_BATCH_ELEMENTS", cap)
             assert report_text(run_monte_carlo(cells, methods, replications, seed)) == want
     assert report_text(run_monte_carlo(cells, methods, replications, seed, workers=2)) == want
-    assert report_text(folded_report(cells, methods, replications, seed)) == want
+    assert report_text(literal_monte_carlo(cells, methods, replications, seed)) == want
 
 
-def count_replications(monkeypatch):
+def test_failing_estimators_count_as_failures(monkeypatch):
+    real = simulation._draw
+
+    def draw(dgp_id, n_units, n_periods, seeds):
+        y, x, betas = real(dgp_id, n_units, n_periods, seeds)
+        for r, seed in enumerate(seeds):
+            if seed % 3 == 0:  # a constant regressor in one unit: tw-mg and mg fail
+                x[r, 1, :, 0] = 1.0
+            elif seed % 3 == 1:  # the same regressors in every unit: tw-pooled fails
+                x[r] = x[r, :1]
+        return y, x, betas
+
+    monkeypatch.setattr(simulation, "_draw", draw)
+    cells = [(1, 6, 5), (4, 5, 6)]
+    report = run_monte_carlo(cells, METHODS, 12, 5)
+    failures = {(c.dgp_id, c.estimator): c.failures for c in report.cells}
+    for dgp in (1, 4):
+        for m in ("tw-mg", "mg", "tw-pooled"):
+            assert 0 < failures[dgp, m] < 12
+    assert report_text(report) == report_text(literal_monte_carlo(cells, METHODS, 12, 5))
+
+
+def test_flagged_subsamples_reach_the_literal_path(monkeypatch):
     calls = []
-    real = simulation._replication
+    real = simulation.loo_estimates
 
-    def replication(task):
-        calls.append(task)
-        return real(task)
+    def loo_estimates(panel, methods, kappa):
+        calls.append(methods)
+        return real(panel, methods, kappa)
 
-    monkeypatch.setattr(simulation, "_replication", replication)
-    return calls
-
-
-def test_failing_replications_fall_back(monkeypatch):
+    monkeypatch.setattr(simulation, "loo_estimates", loo_estimates)
     cells = [(4, 3, 4), (6, 3, 4)]
-    calls = count_replications(monkeypatch)
     report = run_monte_carlo(cells, METHODS, 30, 3)
     assert calls
-    assert report_text(report) == report_text(folded_report(cells, METHODS, 30, 3))
+    assert report_text(report) == report_text(literal_monte_carlo(cells, METHODS, 30, 3))
 
 
-def test_mc_grid_shape_takes_the_stacked_path(monkeypatch, tmp_path, capsys):
-    calls = count_replications(monkeypatch)
+def test_mc_grid_never_rebuilds_a_subpanel(monkeypatch, tmp_path, capsys):
+    def refuse(self, index):
+        raise AssertionError("subpanel rebuilt")
+
+    monkeypatch.setattr(PanelData, "without_unit", refuse)
     argv = ["simulate", "--dgp", "1,4", "--n", "100", "--t", "5,10", "--reps", "20"]
     assert main(argv + ["--seed", "2024", "--output-prefix", str(tmp_path / "grid")]) == 0
     capsys.readouterr()
-    assert calls == []

@@ -25,7 +25,8 @@ from panelmg import (
     normal_quantile_upper,
     poolability_test,
 )
-from panelmg.inference import _joint_statistic
+import panelmg.inference as inference
+from panelmg.inference import joint_statistics
 from oracles import literal_loo, random_panel
 
 
@@ -255,17 +256,28 @@ class TestConfidenceInterval:
 
 
 class TestJointStatistic:
-    def test_singular_omega_delta_is_refused(self):
-        with pytest.raises(SingularOmegaDelta):
-            _joint_statistic(np.array([1.0, 1.0]), np.ones((2, 2)), 10)
-        with pytest.raises(SingularOmegaDelta):
-            _joint_statistic(np.array([1.0]), np.zeros((1, 1)), 10)
+    def test_singular_omega_delta_is_refused(self, monkeypatch):
+        for delta, omega in [(np.ones(2), np.ones((2, 2))), (np.ones(1), np.zeros((1, 1)))]:
+            joint, singular = joint_statistics(delta, omega, 10)
+            assert singular
+            assert joint == 0.0
+        real = inference.loo_estimates
+
+        def same_contrast(panel, methods, kappa):
+            loo = real(panel, methods, kappa)
+            return dict.fromkeys(methods, loo[methods[0]])
+
+        monkeypatch.setattr(inference, "loo_estimates", same_contrast)
+        with pytest.raises(SingularOmegaDelta, match="numerically singular; the joint"):
+            poolability_test(make_panel(seed=90))
 
     def test_value_against_direct_inverse(self):
         omega = np.array([[2.0, 0.3], [0.3, 1.0]])
         delta = np.array([0.5, -0.2])
         want = 25 * delta @ np.linalg.inv(omega) @ delta
-        assert _joint_statistic(delta, omega, 25) == pytest.approx(want, rel=1e-12)
+        joint, singular = joint_statistics(delta, omega, 25)
+        assert not singular
+        assert joint == pytest.approx(want, rel=1e-12)
 
 
 class TestPoolabilityTest:

@@ -27,7 +27,6 @@ from panelmg.estimators import leave_one_out
 from panelmg.gram import loo_two_way, sym_eig_bounds
 from panelmg.inference import loo_estimates
 from panelmg.panel import double_demean
-from panelmg.simulation import _replication
 
 METHODS = ["tw-mg", "tw-mg-ridge", "tw-pooled", "mg"]
 
@@ -342,10 +341,6 @@ class TestNoSubpanelIsRebuilt:
     @pytest.mark.parametrize("use_ridge", [False, True])
     def test_poolability_test(self, panel, use_ridge):
         assert poolability_test(panel, use_ridge=use_ridge).joint_stat >= 0.0
-
-    def test_simulation_replication(self):
-        result = _replication((4, 40, 6, tuple(METHODS), 123, 0.95, 0.05))
-        assert set(result["covered"]) == {"tw-mg", "tw-mg-ridge"}
 
     def test_recomputed_ridge_shift_reestimates_literally(self, panel):
         with pytest.raises(AssertionError, match="subpanel rebuilt"):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from panelmg import (
 )
 import panelmg.simulation as simulation_module
 from panelmg.errors import SingularSystem
-from panelmg.simulation import AR_BURN_IN, _aggregate_cell, _derive_seed, _replication
+from panelmg.simulation import AR_BURN_IN, _aggregate_cell, _derive_seed
 
 
 def replay_one_regressor_draws(spec):
@@ -343,48 +344,64 @@ class TestMonteCarloBehavior:
 class TestInferenceFailures:
     """One method's failing leave-one-out fit costs only what needs it."""
 
-    TASK = (4, 20, 6, ("tw-mg", "tw-mg-ridge", "tw-pooled"), 11, 0.95, 0.05)
+    CELLS = [(4, 20, 6)]
+    METHODS = ("tw-mg", "tw-mg-ridge", "tw-pooled")
 
-    def replicate_with_failing(self, monkeypatch, failing):
-        real = simulation_module.loo_estimates
+    def run(self):
+        return {c.estimator: c for c in run_monte_carlo(self.CELLS, self.METHODS, 4, 11).cells}
+
+    def run_with_failing(self, monkeypatch, failing):
+        """The cells when every replication flags ``failing``'s leave-one-out
+        subsamples and re-estimating them raises."""
+        real_leave_one_out = simulation_module.leave_one_out
+        real_loo_estimates = simulation_module.loo_estimates
+
+        def leave_one_out(dp, method, kappa=None):
+            values, flagged = real_leave_one_out(dp, method, kappa)
+            return values, flagged | (Method(method) is Method(failing))
 
         def loo_estimates(panel, methods, kappa):
             if Method(failing) in methods:
                 raise SingularSystem(f"{failing} fails here")
-            return real(panel, methods, kappa)
+            return real_loo_estimates(panel, methods, kappa)
 
+        monkeypatch.setattr(simulation_module, "leave_one_out", leave_one_out)
         monkeypatch.setattr(simulation_module, "loo_estimates", loo_estimates)
-        return _replication(self.TASK)
+        return self.run()
 
     def test_pooled_loo_failure_keeps_coverage(self, monkeypatch):
-        clean = _replication(self.TASK)
-        out = self.replicate_with_failing(monkeypatch, "tw-pooled")
+        clean = self.run()
+        out = self.run_with_failing(monkeypatch, "tw-pooled")
         for m in ("tw-mg", "tw-mg-ridge"):
-            assert np.array_equal(out["covered"][m], clean["covered"][m])
-        assert out["rejected"] == {}
+            assert clean[m].coverage_95 is not None
+            assert out[m].coverage_95 == clean[m].coverage_95
+            assert out[m].rejection_rate_5pct is None
 
     def test_one_method_failure_keeps_the_others(self, monkeypatch):
-        clean = _replication(self.TASK)
-        out = self.replicate_with_failing(monkeypatch, "tw-mg")
-        assert set(out["covered"]) == set(out["rejected"]) == {"tw-mg-ridge"}
-        assert np.array_equal(out["covered"]["tw-mg-ridge"], clean["covered"]["tw-mg-ridge"])
-        assert out["rejected"]["tw-mg-ridge"] == clean["rejected"]["tw-mg-ridge"]
+        clean = self.run()
+        out = self.run_with_failing(monkeypatch, "tw-mg")
+        assert {m for m, c in out.items() if c.coverage_95 is not None} == {"tw-mg-ridge"}
+        assert {m for m, c in out.items() if c.rejection_rate_5pct is not None} == {"tw-mg-ridge"}
+        ridge, clean_ridge = out["tw-mg-ridge"], clean["tw-mg-ridge"]
+        assert ridge.coverage_95 == clean_ridge.coverage_95
+        assert ridge.rejection_rate_5pct == clean_ridge.rejection_rate_5pct
+
+
+def aggregate_without_warnings(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _aggregate_cell(*args)
 
 
 class TestAggregation:
     def test_failures_are_tallied_and_excluded_from_averages(self):
-        ok = {"tw-mg": np.array([True])}
-        results = [
-            {"errors": {"tw-mg": np.array([0.25])}, "covered": ok, "rejected": {"tw-mg": True}},
-            {"errors": {"tw-mg": None}, "covered": {}, "rejected": {}},
-            {
-                "errors": {"tw-mg": np.array([-0.5])},
-                "covered": {"tw-mg": np.array([False])},
-                "rejected": {"tw-mg": None},
-            },
-        ]
-        cells = _aggregate_cell((1, 5, 4), [Method.TW_MG], results, 3, 1.25)
-        (cell,) = cells
+        errors = np.array([[[0.25]], [[np.nan]], [[-0.5]]])
+        covered = np.array([[[1.0]], [[np.nan]], [[0.0]]])
+        rejected = np.array([[1.0], [np.nan], [np.nan]])
+        (cell,) = aggregate_without_warnings(
+            (1, 5, 4), [Method.TW_MG], errors, covered, rejected, 1.25
+        )
+        assert cell.replications == 3
         assert cell.failures == 1
         assert cell.bias_x10 == (-1.25,)
         assert cell.mse_x100 == (15.625,)
@@ -393,8 +410,10 @@ class TestAggregation:
         assert cell.wall_time_s == 1.25
 
     def test_all_failed_cell_reports_nan_metrics(self):
-        results = [{"errors": {"tw-mg": None}, "covered": {}, "rejected": {}}]
-        (cell,) = _aggregate_cell((4, 5, 6), [Method.TW_MG], results, 1, 0.5)
+        errors = np.full((1, 1, 2), np.nan)
+        (cell,) = aggregate_without_warnings(
+            (4, 5, 6), [Method.TW_MG], errors, errors.copy(), errors[..., 0], 0.5
+        )
         assert cell.failures == 1
         assert len(cell.bias_x10) == 2
         assert all(math.isnan(v) for v in cell.bias_x10)
