@@ -51,8 +51,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import get_lapack_funcs
 
 from .errors import OutOfRange, SingularBlock, SingularCapacitance
 from .panel import DemeanedPanel
@@ -119,27 +117,29 @@ def sym_inv(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
-
-
 def sym_solve(a: np.ndarray, b: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """Solve a x = b by Cholesky for each symmetric positive definite matrix
     of the stack ``a`` (..., M, M) and right-hand side ``b`` (..., M).
 
-    The matrices under the mask ``skip`` (...) are not factored; their x is
-    0. Each solve is ``cho_solve(cho_factor(a, lower=True), b)`` of SciPy,
-    with its checks and errors, calling the same LAPACK routines without
-    its per-call overhead.
+    The matrices under the mask ``skip`` (...) are neither checked nor
+    factored; their x is 0. The rest must be finite (ValueError otherwise)
+    and are factored a = L L' by one batched ``np.linalg.cholesky``, which
+    raises LinAlgError for a matrix that is not positive definite. L y = b
+    and L' x = y are then solved row by row across the stack. Each row's
+    sum is taken over a fresh contiguous array, so a panel of a stack gets
+    the bits it gets alone.
     """
-    out = np.zeros(b.shape)
-    for i in np.ndindex(skip.shape):
-        if skip[i]:
-            continue
-        c, info = _POTRF(np.asarray_chkfinite(a[i]), lower=1, clean=0)
-        if info > 0:
-            raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-        out[i] = _POTRS(c, np.asarray_chkfinite(b[i]), lower=1)[0]
-    return out
+    a = np.asarray_chkfinite(np.where(skip[..., None, None], np.eye(a.shape[-1]), a))
+    x = np.asarray_chkfinite(np.where(skip[..., None], 0.0, b))
+    low = np.linalg.cholesky(a)
+    diag = np.diagonal(low, axis1=-2, axis2=-1)
+    for i in range(x.shape[-1]):
+        dot = (low[..., i, :i] * x[..., :i]).sum(axis=-1)
+        x[..., i] = (x[..., i] - dot) / diag[..., i]
+    for i in reversed(range(x.shape[-1])):
+        dot = (low[..., i + 1 :, i] * x[..., i + 1 :]).sum(axis=-1)
+        x[..., i] = (x[..., i] - dot) / diag[..., i]
+    return x
 
 
 def block_conditions(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,11 +33,12 @@ Holm adjustment across the K raw p-values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc, ndtri
 
 from .errors import (
     DegenerateJackknife,
@@ -75,13 +76,33 @@ __all__ = [
 OMEGA_DELTA_RANK_TOLERANCE = 1e-12
 
 
+def chi_square_tails(x: np.ndarray | float, df: int) -> np.ndarray:
+    """P(chi2_df > x) elementwise for x (...) and an integer df >= 1.
+
+    With h = x / 2 the tail is a finite series (Abramowitz & Stegun 1964,
+    26.4.4 and 26.4.5): the sum of exp(-h) h^j / Gamma(j + 1) over
+    j = 0, 1, ... < df / 2 for even df, and erfc(sqrt(h)) plus the same sum
+    over j = 1/2, 3/2, ... < df / 2 for odd df. Each term is the exponential
+    of its logarithm, so none underflows while the tail is representable.
+    A NaN x gives NaN.
+    """
+    h = np.asarray(x, dtype=np.float64) / 2.0
+    j = np.arange(df // 2) + df % 2 / 2.0
+    log_gamma = np.array([math.lgamma(v + 1.0) for v in j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.exp(j * np.log(h)[..., None] - h[..., None] - log_gamma).sum(axis=-1)
+        if df % 2:
+            tail = tail + np.vectorize(math.erfc, otypes=[float])(np.sqrt(h))
+    return np.where(h == 0.0, 1.0, tail)
+
+
 def chi_square_upper_tail(x: float, df: int) -> float:
-    """P(chi2_df > x) via the regularized upper incomplete gamma function."""
-    if df < 1:
-        raise OutOfRange(f"degrees of freedom must be >= 1, got {df}")
+    """P(chi2_df > x) for a finite x >= 0 and an integer df >= 1."""
+    if not isinstance(df, (int, np.integer)) or df < 1:
+        raise OutOfRange(f"degrees of freedom must be an integer >= 1, got {df!r}")
     if not np.isfinite(x) or x < 0:
         raise OutOfRange(f"test statistic must be finite and >= 0, got {x}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    return float(chi_square_tails(x, df))
 
 
 def normal_quantile_upper(tail_probability: float) -> float:
@@ -90,7 +111,7 @@ def normal_quantile_upper(tail_probability: float) -> float:
         raise OutOfRange(
             f"tail probability must be in (0, 1), got {tail_probability}"
         )
-    return float(-ndtri(tail_probability))
+    return -NormalDist().inv_cdf(tail_probability)
 
 
 def holm_adjust(pvalues: Sequence[float]) -> list[float]:

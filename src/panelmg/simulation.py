@@ -49,11 +49,16 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import OutOfRange, PanelMgError
 from .estimators import Method, estimate_stack, leave_one_out
-from .inference import joint_statistics, loo_estimates, normal_quantile_upper, omega_from_loo
+from .inference import (
+    chi_square_tails,
+    joint_statistics,
+    loo_estimates,
+    normal_quantile_upper,
+    omega_from_loo,
+)
 from .panel import PanelData, double_demean
 
 __all__ = [
@@ -383,8 +388,7 @@ def _run_batch(batch: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         omega_delta = omega_from_loo(loo[m] - loo[pooled])
         joint, singular = joint_statistics(delta, omega_delta, n_units)
         tested = has[m] & has[pooled] & ~singular & np.isfinite(joint) & (joint >= 0.0)
-        # chi_square_upper_tail of each joint statistic
-        rejected[tested, j] = (gammaincc(k / 2.0, joint / 2.0) < test_level)[tested]
+        rejected[tested, j] = (chi_square_tails(joint, k) < test_level)[tested]
     return errors, covered, rejected
 
 

@@ -1,4 +1,4 @@
-"""The package's public surface and what importing the command line loads."""
+"""The package's public surface and what importing it loads."""
 
 import os
 import subprocess
@@ -69,12 +69,16 @@ def test_every_public_name_resolves():
         assert getattr(panelmg, name) is not None, name
 
 
-def test_cli_import_leaves_scipy_signal_out():
+def test_import_loads_no_scipy():
     src = str(Path(panelmg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, panelmg.cli; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout.strip() == "False"
+    for module in ("panelmg", "panelmg.cli"):
+        code = (
+            f"import sys, {module}; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]", module

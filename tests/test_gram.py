@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from panelmg import OutOfRange, PanelData, SingularBlock, SingularCapacitance, double_demean
-from panelmg.gram import sym_eig_bounds, sym_inv, two_way_slopes
+from panelmg.gram import sym_eig_bounds, sym_inv, sym_solve, two_way_slopes
 from oracles import dense_gram, random_panel
 
 
@@ -116,3 +117,29 @@ class TestSmallSymmetricKernels:
         a = rng.normal(size=(9, k, k))
         blocks = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(k)
         np.testing.assert_allclose(sym_inv(blocks), np.linalg.inv(blocks), atol=1e-9)
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    def test_solve_matches_cholesky_and_each_panel_alone(self, batch):
+        rng = np.random.default_rng(len(batch))
+        for m in range(1, 21):
+            g = rng.normal(size=(*batch, m, m + 3))
+            a = g @ g.swapaxes(-1, -2) / (m + 3)
+            b = rng.normal(size=(*batch, m))
+            skip = np.zeros(batch, dtype=bool)
+            x = sym_solve(a, b, skip)
+            for i in np.ndindex(batch):
+                want = cho_solve(cho_factor(a[i], lower=True), b[i])
+                assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
+                np.testing.assert_array_equal(sym_solve(a[i], b[i], skip[i]), x[i])
+
+    def test_solve_skips_and_raises(self):
+        a = np.stack([np.eye(3), np.full((3, 3), np.nan), np.diag([1.0, -1.0, 1.0])])
+        b = np.array([[1.0, 2.0, 3.0], [np.nan] * 3, [1.0, 1.0, 1.0]])
+        x = sym_solve(a, b, np.array([False, True, True]))
+        np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0], [0.0] * 3, [0.0] * 3])
+        with pytest.raises(np.linalg.LinAlgError):
+            sym_solve(a, b, np.array([False, True, False]))
+        with pytest.raises(ValueError):
+            sym_solve(a, b, np.array([False, False, True]))
+        with pytest.raises(ValueError):
+            sym_solve(a, np.ones((3, 3)), np.array([False, False, True]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc, ndtri
 
 from panelmg import (
     DegenerateJackknife,
@@ -63,6 +64,24 @@ class TestChiSquareTail:
         with pytest.raises(OutOfRange):
             chi_square_upper_tail(1.0, 0)
 
+    @pytest.mark.parametrize("df", [2.5, 3.0, "3", None])
+    def test_df_must_be_an_integer(self, df):
+        with pytest.raises(OutOfRange, match="integer"):
+            chi_square_upper_tail(3.0, df)
+
+    def test_series_matches_scipy(self):
+        x = np.concatenate([[0.0], np.logspace(-10, math.log10(3000.0), 300)])
+        for df in range(1, 61):
+            got = inference.chi_square_tails(x, df)
+            want = gammaincc(df / 2.0, x / 2.0)
+            seen = want > 1e-290
+            np.testing.assert_allclose(got[seen], want[seen], rtol=1e-12, atol=0.0)
+            assert got[0] == 1.0
+            for xi, gi in zip(x[::29], got[::29]):
+                assert inference.chi_square_tails(xi, df) == gi
+            assert chi_square_upper_tail(float(x[-50]), df) == got[-50]
+            assert np.isnan(inference.chi_square_tails(np.nan, df))
+
 
 class TestNormalQuantile:
     @staticmethod
@@ -95,6 +114,11 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(OutOfRange):
                 normal_quantile_upper(bad)
+
+    def test_matches_scipy(self):
+        for tail in np.logspace(-300.0, math.log10(0.5), 1000):
+            want = -ndtri(tail)
+            assert normal_quantile_upper(tail) == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 def holm_reference(pvalues):
