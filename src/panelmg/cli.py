@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError, EstimationError, OutOfRange
-from .estimators import Method, estimate
-from .inference import confidence_interval, jackknife, poolability_test
+from .estimators import Method
+from .inference import confidence_interval, fit, poolability_test
 from .panel import PanelData, read_csv
 from .simulation import run_monte_carlo
 
@@ -153,11 +153,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     panel = read_csv(args.input)
     names = _coef_names(panel.n_regressors)
 
+    # one fit pass; each estimator's error comes before its jackknife's
+    f = fit(panel, methods, args.ridge_kappa)
     results = {}
     for m in methods:
-        kappa = args.ridge_kappa if m is Method.TW_MG_RIDGE else None
-        est = estimate(panel, m, kappa=kappa)
-        jk = jackknife(panel, m, kappa=est.kappa_used)
+        est = f.estimate(m)
+        jk = f.jackknife(m)
         cis = [
             confidence_interval(est, jk, level=args.level, coefficient=j)
             for j in range(panel.n_regressors)

@@ -25,17 +25,16 @@ from .errors import RankDeficient, SingularBlock, SingularCapacitance, SingularS
 from .gram import (
     DEFAULT_RANK_TOLERANCE,
     SCREEN_TOLERANCE,
-    block_conditions,
+    TwoWayFactor,
+    UnitBlocks,
     loo_two_way,
-    screen_loo_blocks,
     sym_eig_bounds,
-    sym_inv,
     sym_solve,
     two_way_slopes,
 )
 from .panel import DemeanedPanel, PanelData, double_demean
 
-__all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa", "leave_one_out"]
+__all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa"]
 
 
 class Method(str, Enum):
@@ -89,21 +88,16 @@ def _require_enough_periods(dp: DemeanedPanel) -> None:
         )
 
 
-def _tw_mg(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarray:
-    """Per-unit slopes of the two-way mean-group estimator."""
-    _require_enough_periods(dp)
-    try:
-        return two_way_slopes(dp, 0.0, unit_labels)
-    except SingularBlock as exc:
-        raise RankDeficient(
-            f"per-unit design is rank deficient: {exc}", units=exc.units
-        ) from exc
+def _unit_gram(dp: DemeanedPanel) -> np.ndarray:
+    """The per-unit Gram matrices xdd_i' xdd_i (..., N, K, K) of the
+    double-demeaned regressors, which the ridge shift and tw-pooled share."""
+    return dp.x_dd.swapaxes(-1, -2) @ dp.x_dd
 
 
-def _ridge_kappa(dp: DemeanedPanel) -> np.ndarray:
-    """The shift of ``compute_ridge_kappa`` for each panel (...)."""
-    xdd = dp.x_dd
-    m = xdd.swapaxes(-1, -2) @ xdd / dp.n_periods
+def _ridge_kappa(dp: DemeanedPanel, gram: np.ndarray) -> np.ndarray:
+    """The shift of ``compute_ridge_kappa`` for each panel (...), from the
+    per-unit Gram matrices ``gram`` of ``_unit_gram``."""
+    m = gram / dp.n_periods
     k = m.shape[-1]
     if k == 1:
         dets = m[..., 0, 0]
@@ -123,35 +117,68 @@ def compute_ridge_kappa(panel: PanelData) -> float:
     double-demeaned regressors; the median over units (midpoint average for
     even N) is divided by N so the shift vanishes as the cross-section grows.
     """
-    return float(_ridge_kappa(double_demean(panel)))
+    dp = double_demean(panel)
+    return float(_ridge_kappa(dp, _unit_gram(dp)))
 
 
-def _tw_mg_ridge(
-    dp: DemeanedPanel, unit_labels: Sequence[str] | None, kappa: float | np.ndarray
-) -> np.ndarray:
-    """Per-unit slopes of the ridge-regularised two-way mean-group estimator.
+LooValues = tuple[np.ndarray, np.ndarray] | None
 
-    Unlike the plain estimator this tolerates T as small as 2 because the
-    shift keeps every per-unit block invertible whenever kappa > 0.
+
+def _two_way(
+    dp: DemeanedPanel,
+    method: Method,
+    kappa: float | np.ndarray,
+    unit_labels: Sequence[str] | None,
+    loo: bool,
+) -> tuple[np.ndarray, LooValues]:
+    """Per-unit slopes of tw-mg (``kappa`` 0) or tw-mg-ridge and, with
+    ``loo``, their leave-one-out values and flags, read from one factor.
+
+    Unlike the plain estimator the ridge one tolerates T as small as 2,
+    because the shift keeps every per-unit block invertible whenever
+    kappa > 0.
     """
+    if method is Method.TW_MG:
+        _require_enough_periods(dp)
+    f = TwoWayFactor(dp, kappa)
     try:
-        return two_way_slopes(dp, kappa, unit_labels)
+        slopes = two_way_slopes(f, unit_labels)
     except (SingularBlock, SingularCapacitance) as exc:
-        raise SingularSystem(
-            f"system is singular even with ridge shift kappa={kappa:g}: {exc}"
-        ) from exc
+        if method is Method.TW_MG_RIDGE:
+            msg = f"system is singular even with ridge shift kappa={kappa:g}: {exc}"
+            raise SingularSystem(msg) from exc
+        if isinstance(exc, SingularCapacitance):
+            raise
+        raise RankDeficient(f"per-unit design is rank deficient: {exc}", units=exc.units) from exc
+    return slopes, loo_two_way(f) if loo else None
 
 
-def _tw_pooled(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarray:
-    """Pooled two-way fixed effects slopes (..., K) on the double-demeaned data."""
-    xdd = dp.x_dd
-    a = np.einsum("...ntk,...ntl->...kl", xdd, xdd)
-    b = np.einsum("...ntk,...nt->...k", xdd, dp.y_dd)
+def _tw_pooled(
+    dp: DemeanedPanel, gram: np.ndarray, unit_labels: Sequence[str] | None, loo: bool
+) -> tuple[np.ndarray, LooValues]:
+    """Pooled two-way fixed effects slopes (..., K) on the double-demeaned
+    data and, with ``loo``, the pooled slopes on every (N-1)-unit subsample.
+
+    Both are read from the per-unit sums G_i = xdd_i' xdd_i (``gram``) and
+    g_i = xdd_i' ydd_i. With period sums S_x, S_y of the full-sample
+    double-demeaned data, deleting unit j leaves the normal equations
+
+        (G - G_j - s' s / (N-1)) b = g - g_j - s' (S_y - ydd_j) / (N-1),
+
+    s = S_x - xdd_j, since the subsample's own two-way projection is blind to
+    the full sample's period means. The rank check of the full sample runs on
+    each downdated matrix; flagged subsamples get placeholder values.
+    """
+    xdd, ydd, xu = dp.x_dd, dp.y_dd, dp.x_unit_dm
+    n, _, k = xdd.shape[-3:]
+    gy = np.einsum("...ntk,...nt->...nk", xdd, ydd)
+    within = np.einsum("...ntk,...ntk->...n", xu, xu)
+    a = gram.sum(axis=-3)
+    b = gy.sum(axis=-2)
     lo, hi = sym_eig_bounds(a)
     # Compare against the unit-demeaned scale too, so a regressor absorbed
     # entirely by the two-way effects is flagged instead of solved.
-    xu = dp.x_unit_dm
-    within_scale = np.einsum("...ntk,...ntk->...", xu, xu) / dp.n_regressors
+    within_scale = within.sum(axis=-1) / k
     scale = np.where(within_scale > hi, within_scale, hi)  # max() as Python takes it
     with np.errstate(divide="ignore", invalid="ignore"):
         failed = (scale <= 0.0) | (lo / scale < DEFAULT_RANK_TOLERANCE)
@@ -162,84 +189,45 @@ def _tw_pooled(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarr
         )
     slopes = sym_solve(a, b, failed)
     slopes[failed] = np.nan
-    return slopes
-
-
-def _tw_pooled_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled slopes on every (N-1)-unit subsample from downdated sums.
-
-    With G_i = xdd_i' xdd_i, g_i = xdd_i' ydd_i and period sums S_x, S_y of
-    the full-sample double-demeaned data, deleting unit j leaves the normal
-    equations
-
-        (G - G_j - s' s / (N-1)) b = g - g_j - s' (S_y - ydd_j) / (N-1),
-
-    s = S_x - xdd_j, since the subsample's own two-way projection is blind to
-    the full sample's period means. The rank check of ``_tw_pooled`` runs on
-    each downdated matrix; flagged subsamples get placeholder values.
-    """
-    xdd, ydd, xu = dp.x_dd, dp.y_dd, dp.x_unit_dm
-    n, _, k = xdd.shape[-3:]
-    g = xdd.swapaxes(-1, -2) @ xdd
-    gy = np.einsum("...ntk,...nt->...nk", xdd, ydd)
+    if not loo:
+        return slopes, None
     sx = xdd.sum(axis=-3, keepdims=True) - xdd
     sy = ydd.sum(axis=-2, keepdims=True) - ydd
-    a = g.sum(axis=-3, keepdims=True) - g - sx.swapaxes(-1, -2) @ sx / (n - 1)
-    b = gy.sum(axis=-2, keepdims=True) - gy - np.einsum("...ntk,...nt->...nk", sx, sy) / (n - 1)
+    a = a[..., None, :, :] - gram - sx.swapaxes(-1, -2) @ sx / (n - 1)
+    b = b[..., None, :] - gy - np.einsum("...ntk,...nt->...nk", sx, sy) / (n - 1)
     lo, hi = sym_eig_bounds(a)
-    within = np.einsum("...ntk,...ntk->...n", xu, xu)
     scale = np.maximum(hi, (within.sum(axis=-1, keepdims=True) - within) / k)
     flagged = ~((scale > 0.0) & (lo >= SCREEN_TOLERANCE * scale))
     a[flagged] = np.eye(k)
-    return np.linalg.solve(a, b[..., None])[..., 0], flagged
+    return slopes, (np.linalg.solve(a, b[..., None])[..., 0], flagged)
 
 
-def _standard_mg(dp: DemeanedPanel, unit_labels: Sequence[str] | None) -> np.ndarray:
-    """Per-unit slopes without time effects: per-unit OLS with intercept."""
-    _require_enough_periods(dp)
-    xu = dp.x_unit_dm
-    blocks = xu.swapaxes(-1, -2) @ xu
-    rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
-    scale, rcond = block_conditions(blocks)
-    bad = rcond < DEFAULT_RANK_TOLERANCE
-    failed = (scale <= 0.0) | bad.any(axis=-1)
-    if unit_labels is not None and scale <= 0.0:
-        raise RankDeficient(
-            "no within-unit regressor variation anywhere in the panel",
-            units=tuple(unit_labels),
-        )
-    if unit_labels is not None and failed:
-        labels = tuple(unit_labels[int(i)] for i in np.flatnonzero(bad))
-        raise RankDeficient(
-            f"per-unit OLS design is rank deficient for unit(s) "
-            f"{', '.join(repr(l) for l in labels)}",
-            units=labels,
-        )
-    # a failing panel's blocks become identities, so none singular is inverted
-    blocks = np.where(failed[..., None, None, None], np.eye(dp.n_regressors), blocks)
-    slopes = np.einsum("...nkl,...nl->...nk", sym_inv(blocks), rhs)
-    slopes[failed] = np.nan
-    return slopes
-
-
-def _standard_mg_loo(dp: DemeanedPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Standard mean-group slopes on every (N-1)-unit subsample.
+def _standard_mg(
+    dp: DemeanedPanel, unit_labels: Sequence[str] | None, loo: bool
+) -> tuple[np.ndarray, LooValues]:
+    """Per-unit slopes without time effects (per-unit OLS with intercept)
+    and, with ``loo``, the mean-group estimate on every (N-1)-unit subsample.
 
     Per-unit slopes do not couple across units, so deleting unit j leaves
-    (sum_i b_i - b_j) / (N-1).
+    (sum_i b_i - b_j) / (N-1) of the full-sample slopes.
     """
+    _require_enough_periods(dp)
     xu = dp.x_unit_dm
-    n, _, k = xu.shape[-3:]
-    blocks = xu.swapaxes(-1, -2) @ xu
-    flagged = screen_loo_blocks(blocks)
-    if flagged.all():
-        return np.zeros(flagged.shape + (k,)), flagged
-    blocks = np.where(flagged.all(axis=-1)[..., None, None, None], np.eye(k), blocks)
+    blocks = UnitBlocks(xu.swapaxes(-1, -2) @ xu)
+    blocks.check(
+        unit_labels,
+        RankDeficient,
+        "no within-unit regressor variation anywhere in the panel",
+        "per-unit OLS design is rank deficient for unit(s) {}",
+    )
     rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
-    slopes = np.einsum("...nkl,...nl->...nk", sym_inv(blocks), rhs)
-    values = (slopes.sum(axis=-2, keepdims=True) - slopes) / (n - 1)
+    slopes = np.einsum("...nkl,...nl->...nk", blocks.inverse, rhs)
+    full = np.where(blocks.failed[..., None, None], np.nan, slopes)
+    if not loo:
+        return full, None
+    values = (slopes.sum(axis=-2, keepdims=True) - slopes) / (dp.n_units - 1)
     # a flagged value depends on how its panel was stacked; it is not used
-    return np.where(flagged[..., None], 0.0, values), flagged
+    return full, (np.where(blocks.flagged[..., None], 0.0, values), blocks.flagged)
 
 
 def _slopes(
@@ -247,22 +235,21 @@ def _slopes(
     method: Method,
     kappa: float | np.ndarray | None,
     unit_labels: Sequence[str] | None,
-) -> tuple[np.ndarray, float | np.ndarray | None]:
-    """Per-unit slopes (..., N, K), or pooled slopes (..., K), and the ridge
-    shift used (None for the estimators without one).
-
-    With ``unit_labels`` (one panel) a failing check raises as ``estimate``
-    documents; without, a failing panel's slopes are NaN.
+    loo: bool = False,
+    gram: np.ndarray | None = None,
+) -> tuple[np.ndarray, LooValues]:
+    """Per-unit slopes (..., N, K), or pooled slopes (..., K), and with
+    ``loo`` the leave-one-out values and flags read from the same per-unit
+    pieces (None without). ``kappa`` is the ridge shift and ``gram`` the
+    ``_unit_gram`` of ``dp`` if it is built. With ``unit_labels`` (one
+    panel) a failing check raises as ``estimate`` documents; without, a
+    failing panel's slopes are NaN.
     """
     if method is Method.TW_POOLED:
-        return _tw_pooled(dp, unit_labels), None
-    if method is Method.TW_MG:
-        return _tw_mg(dp, unit_labels), None
+        return _tw_pooled(dp, _unit_gram(dp) if gram is None else gram, unit_labels, loo)
     if method is Method.STANDARD_MG:
-        return _standard_mg(dp, unit_labels), None
-    if kappa is None:
-        kappa = _ridge_kappa(dp)
-    return _tw_mg_ridge(dp, unit_labels, kappa), kappa
+        return _standard_mg(dp, unit_labels, loo)
+    return _two_way(dp, method, 0.0 if method is Method.TW_MG else kappa, unit_labels, loo)
 
 
 def estimate(
@@ -278,66 +265,57 @@ def estimate(
     average of the per-unit slopes.
     """
     method = Method(method)
-    slopes, kappa = _slopes(double_demean(panel), method, kappa, panel.unit_labels)
+    dp = double_demean(panel)
+    if method is Method.TW_MG_RIDGE and kappa is None:
+        kappa = _ridge_kappa(dp, _unit_gram(dp))
+    slopes, _ = _slopes(dp, method, kappa, panel.unit_labels)
     if method is Method.TW_POOLED:
         return SlopeEstimates(method, slopes, unit_slopes=None)
-    kappa_used = None if kappa is None else float(kappa)
+    kappa_used = float(kappa) if method is Method.TW_MG_RIDGE else None
     return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)
 
 
-def estimate_stack(
-    dp: DemeanedPanel, method: Method | str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``estimate`` on every panel of a stack of demeaned panels (...).
+def fit_stack(
+    dp: DemeanedPanel,
+    methods: Sequence[Method],
+    kappa: float | None = None,
+    loo: Sequence[Method] = (),
+) -> tuple[dict, np.ndarray | None, dict, dict]:
+    """``estimate`` of ``methods`` on every panel of a stack of demeaned
+    panels (...) and, for those in ``loo``, on every (N-1)-unit subsample,
+    read from one set of per-unit pieces per method, each dropped before the
+    next is built. Every value is the one of that panel alone, bit for bit.
 
-    Returns the estimates (..., K) and the ridge shifts (...) of
-    ``tw-mg-ridge`` (None for the other estimators). Where ``estimate``
-    would raise for one panel, its estimates are NaN instead; T too short
-    for the estimator still raises TooFewPeriods. Every other value equals
-    ``estimate``'s on that panel alone, bit for bit.
+    Returns the slopes of ``_slopes`` per method, NaN where ``estimate``
+    would raise; tw-mg-ridge's shift (...), ``kappa`` or the data-driven one;
+    and per method in ``loo`` the leave-one-out values (..., N, K) and the
+    (..., N) mask of subsamples to re-estimate literally: those whose checks land
+    within a margin (``gram.SCREEN_TOLERANCE``) of their thresholds or whose
+    values are not finite, and all for N < 3, for T <= K + 1 where the
+    estimator refuses it, or for a shift that is not finite. Flagged values
+    are 0; the rest agree with re-estimation to rounding error.
     """
-    method = Method(method)
-    if method is not Method.TW_MG_RIDGE:
-        slopes, _ = _slopes(dp, method, None, None)
-        return (slopes if method is Method.TW_POOLED else slopes.mean(axis=-2)), None
-    kappa = _ridge_kappa(dp)
-    # never negative; where it is not finite, estimate raises OutOfRange
-    finite = np.isfinite(kappa)
-    slopes, _ = _slopes(dp, method, np.where(finite, kappa, 0.0), None)
-    return np.where(finite[..., None], slopes.mean(axis=-2), np.nan), kappa
-
-
-def leave_one_out(
-    dp: DemeanedPanel, method: Method | str, kappa: float | np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates on every (N-1)-unit subsample, downdated from one demeaning.
-
-    Returns the (..., N, K) leave-one-out estimates in unit order and an
-    (..., N) mask of subsamples whose value must come from re-estimating
-    that subsample instead: one of its checks fails or lands within its
-    margin (see ``gram.SCREEN_TOLERANCE``) of its threshold, or its value is
-    not finite. Re-estimating a flagged subsample raises exactly the error
-    the estimator raises there. Unflagged values agree with re-estimation to
-    rounding error. ``kappa`` is the ridge shift held fixed on every
-    subsample, one or one per panel of a stack (...); None (each subsample
-    recomputing its own) flags them all, as do N < 3, T <= K + 1 for the
-    estimators that refuse it, and a negative or non-finite shift.
-    """
-    method = Method(method)
-    n, k = dp.n_units, dp.n_regressors
-    if method is Method.TW_MG_RIDGE:
-        usable = kappa is not None and bool(np.all((0.0 <= kappa) & (kappa < np.inf)))
-    elif method is Method.TW_POOLED:
-        usable = True
-    else:
-        usable = dp.n_periods > k + 1
-    if n < 3 or not usable:
-        batch = dp.y_dd.shape[:-2]
-        return np.zeros((*batch, n, k)), np.ones((*batch, n), dtype=bool)
-    if method is Method.TW_POOLED:
-        values, flagged = _tw_pooled_loo(dp)
-    elif method is Method.STANDARD_MG:
-        values, flagged = _standard_mg_loo(dp)
-    else:
-        values, flagged = loo_two_way(dp, 0.0 if method is Method.TW_MG else kappa)
-    return values, flagged | ~np.isfinite(values).all(axis=-1)
+    n, t, k = dp.n_units, dp.n_periods, dp.n_regressors
+    batch = dp.y_dd.shape[:-2]
+    gram = _unit_gram(dp) if {Method.TW_MG_RIDGE, Method.TW_POOLED} & set(methods) else None
+    slopes, shift, values, flagged = {}, None, {}, {}
+    for m in methods:
+        usable, want = np.full(batch, n >= 3), m in loo and n >= 3
+        if m in (Method.TW_MG, Method.STANDARD_MG) and t <= k + 1:
+            slopes[m], pair = np.full((*batch, n, k), np.nan), None
+        elif m is Method.TW_MG_RIDGE:
+            shift = _ridge_kappa(dp, gram) if kappa is None else np.asarray(kappa, dtype=float)
+            # a shift that is not finite makes estimate raise OutOfRange; a
+            # negative one raises it here
+            finite = np.isfinite(shift)
+            usable &= finite
+            slopes[m], pair = _slopes(dp, m, np.where(finite, shift, 0.0), None, want)
+            slopes[m][~finite] = np.nan
+        else:
+            slopes[m], pair = _slopes(dp, m, None, None, want, gram)
+        if m in loo:
+            if pair is None:
+                pair = np.zeros((*batch, n, k)), np.ones((*batch, n), dtype=bool)
+            flags = pair[1] | ~usable[..., None] | ~np.isfinite(pair[0]).all(axis=-1)
+            values[m], flagged[m] = np.where(flags[..., None], 0.0, pair[0]), flags
+    return slopes, shift, values, flagged

@@ -23,10 +23,14 @@ whenever the blocks and the whole system are, so it is checked by its
 eigenvalues and solved by Cholesky. A solve costs O(N K^3 + N K^2 T + T^3)
 instead of O((N K)^3); the NK x NK matrix is never assembled.
 
-``two_way_slopes`` solves the full sample. Deleting one unit leaves every
-other A_i and M_i as it is and changes only sums over units, so
-``loo_two_way`` solves all N leave-one-out subsamples at once from the same
-pieces by subtracting one unit's term from each full-sample sum.
+Both solves read one ``TwoWayFactor`` per panel (or stack) and shift: the
+shifted blocks with their eigenvalue bounds and check (``UnitBlocks``) and,
+built when first read, A_i, A_i y_i, sum M_i and sum M_i y_i.
+``two_way_slopes`` checks the blocks and solves the full sample. Deleting
+one unit leaves every other A_i and M_i as it is and changes only sums over
+units, so ``loo_two_way`` solves all N leave-one-out subsamples at once by
+subtracting one unit's term from each full-sample sum; only it builds the
+screen of the blocks, D and H_j below.
 
 Subsample j's capacitance is then cap_j = D + c M_j, with c = 1/((N-1) T)
 and one shared T x T matrix D = I_T - c sum_i M_i: a rank-K update, as
@@ -48,6 +52,7 @@ stacked result equals the single-panel ones bit for bit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -142,27 +147,95 @@ def sym_solve(a: np.ndarray, b: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return x
 
 
-def block_conditions(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reference scale and reciprocal conditions of the block check.
+class UnitBlocks:
+    """Symmetric per-unit blocks (..., N, K, K), their eigenvalue bounds
+    ``lo`` and ``hi`` (..., N) and the full-sample check; the leave-one-out
+    screen ``flagged`` and the ``inverse`` of every block when first read.
 
-    The scale (...) is the largest eigenvalue over a panel's blocks
-    (..., N, K, K), 0 if none is positive, and each block's reciprocal
-    condition (..., N) its smallest eigenvalue over that scale. A panel
-    fails the check if its scale is not positive or some reciprocal
-    condition is below ``DEFAULT_RANK_TOLERANCE``; the panel-wide scale
-    (rather than a per-block one) is what lets a block that demeaning
-    annihilated entirely be detected.
+    The check's ``scale`` (...) is the largest eigenvalue over a panel's
+    blocks, 0 if none is positive. A block is ``bad`` below
+    ``DEFAULT_RANK_TOLERANCE`` times that scale, and a panel ``failed`` if
+    its scale is not positive or some block is bad; the panel-wide scale is
+    what detects a block that demeaning annihilated entirely.
     """
-    lo, hi = sym_eig_bounds(blocks)
-    scale = np.max(hi, axis=-1, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return scale, lo / scale[..., None]
+
+    def __init__(self, blocks: np.ndarray) -> None:
+        self.blocks = blocks
+        self.lo, self.hi = sym_eig_bounds(blocks)
+        self.scale = np.max(self.hi, axis=-1, initial=0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.bad = self.lo / self.scale[..., None] < DEFAULT_RANK_TOLERANCE
+        self.failed = (self.scale <= 0.0) | self.bad.any(axis=-1)
+
+    def check(self, unit_labels: Sequence[str] | None, error: type, none: str, weak: str) -> None:
+        """With ``unit_labels`` (one panel), raise ``error`` if the check
+        fails: ``none`` naming every unit if no eigenvalue is positive, else
+        ``weak`` formatted with the units of the bad blocks, naming them."""
+        if unit_labels is None or not self.failed:
+            return
+        if self.scale <= 0.0:
+            raise error(none, units=tuple(unit_labels))
+        labels = tuple(unit_labels[int(i)] for i in np.flatnonzero(self.bad))
+        raise error(weak.format(", ".join(repr(l) for l in labels)), units=labels)
+
+    @cached_property
+    def flagged(self) -> np.ndarray:
+        """The (..., N) subsamples whose block check may fail or nearly fail.
+
+        Deleting unit j leaves every other block as it is, so subsample j's
+        reference scale is the largest block eigenvalue among the other
+        units, and its smallest kept eigenvalue the smallest among them. The
+        deleted unit's own block is held to ``SCREEN_TOLERANCE`` times that
+        scale, as its inverse is subtracted from the full-sample sums; the
+        kept blocks to ``KEPT_BLOCK_MARGIN`` times the literal threshold. So
+        one weak but valid unit flags only its own subsample.
+        """
+        scale = _max_without_each(self.hi)
+        kept_lo = -_max_without_each(-self.lo)
+        return ~(
+            (scale > 0.0)
+            & (self.lo >= SCREEN_TOLERANCE * scale)
+            & (kept_lo >= KEPT_BLOCK_MARGIN * DEFAULT_RANK_TOLERANCE * scale)
+        )
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        # Only a failed panel can hold a singular block, and one that does has
+        # every subsample flagged; its blocks become identities so that none
+        # is inverted. A failed panel with a subsample the screen clears keeps
+        # its blocks, as that subsample's values are read from them.
+        singular = self.failed
+        if singular.any():
+            singular = singular & self.flagged.all(axis=-1)
+        eye = np.eye(self.blocks.shape[-1])
+        return sym_inv(np.where(singular[..., None, None, None], eye, self.blocks))
 
 
-def _identity_where(mask: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``blocks`` (..., N, K, K) with every block of the panels under ``mask``
-    (...) replaced by the identity, so that no singular block is inverted."""
-    return np.where(mask[..., None, None, None], np.eye(blocks.shape[-1]), blocks)
+class TwoWayFactor(UnitBlocks):
+    """The two-way system of a demeaned panel or stack ``dp`` with ridge
+    shift ``kappa`` (one, or one per panel): the blocks q_i + kappa I as
+    ``UnitBlocks``, and its ``pieces``, built when first read.
+
+    Raises OutOfRange if ``kappa`` is negative or not finite.
+    """
+
+    def __init__(self, dp: DemeanedPanel, kappa: float | np.ndarray) -> None:
+        self.dp = dp
+        super().__init__(_shifted_blocks(dp.x_unit_dm, kappa))
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, ...]:
+        """xdot_i' (..., N, K, T), A_i (..., N, K, T), A_i y_i (..., N, K),
+        sum M_i (..., T, T) and sum M_i y_i (..., T), sums over all units."""
+        xu, y = self.dp.x_unit_dm, self.dp.y_dd
+        *batch, _, t, _ = xu.shape
+        xt = np.ascontiguousarray(xu.swapaxes(-1, -2))
+        a = self.inverse @ xt
+        ay = np.einsum("...nkt,...nt->...nk", a, y)
+        # sums over units as (NK x T) matrix products; no (N, T, T) array of M_i
+        xt_flat = xt.reshape(*batch, -1, t)
+        sum_m = xt_flat.swapaxes(-1, -2) @ a.reshape(*batch, -1, t)
+        return xt, a, ay, sum_m, (ay.reshape(*batch, 1, -1) @ xt_flat)[..., 0, :]
 
 
 def _shifted_blocks(xu: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
@@ -179,56 +252,30 @@ def _shifted_blocks(xu: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
     return blocks + shift[..., None, None, None] * np.eye(k)
 
 
-def two_way_slopes(
-    dp: DemeanedPanel, kappa: float | np.ndarray, unit_labels: Sequence[str] | None = None
-) -> np.ndarray:
-    """Per-unit slopes (..., N, K) of the two-way system with ridge shift ``kappa``.
+def two_way_slopes(f: TwoWayFactor, unit_labels: Sequence[str] | None = None) -> np.ndarray:
+    """Per-unit slopes (..., N, K) of the two-way system of the factor ``f``,
+    solved as the module docstring derives.
 
-    The system and its solve are derived in the module docstring. ``kappa``
-    is one shift, or one per panel (...). With ``unit_labels`` (one panel)
-    a failing check raises, naming the offending units in a SingularBlock;
-    without, no check raises and a failing panel's slopes are NaN.
-
-    Raises
-    ------
-    OutOfRange
-        ``kappa`` is negative or not finite.
-    SingularBlock
-        With ``unit_labels``: some shifted diagonal block fails the check of
-        ``block_conditions``.
-    SingularCapacitance
-        With ``unit_labels``: the T x T capacitance matrix fails the same
-        reciprocal-condition threshold, i.e. the coupled system is singular
-        even though every block is fine.
+    Without ``unit_labels`` no check raises and a failing panel's slopes are
+    NaN. With them (one panel), a shifted diagonal block that fails the
+    check of ``UnitBlocks`` raises SingularBlock, naming the offending
+    units, and a T x T capacitance matrix that fails the same threshold
+    raises SingularCapacitance: the coupled system is singular even though
+    every block is fine.
     """
-    xu, y = dp.x_unit_dm, dp.y_dd
-    *batch, n, t, _ = xu.shape
-    blocks = _shifted_blocks(xu, kappa)
-    scale, rcond = block_conditions(blocks)
-    bad = rcond < DEFAULT_RANK_TOLERANCE
-    block_failed = (scale <= 0.0) | bad.any(axis=-1)
-    if unit_labels is not None and scale <= 0.0:
-        raise SingularBlock(
-            "every diagonal block is numerically zero; the regressors carry "
-            "no within-unit variation (consider the ridge estimator)",
-            units=tuple(unit_labels),
-        )
-    if unit_labels is not None and block_failed:
-        labels = tuple(unit_labels[int(i)] for i in np.flatnonzero(bad))
-        raise SingularBlock(
-            f"diagonal block(s) for unit(s) {', '.join(repr(l) for l in labels)} "
-            f"fail the condition threshold {DEFAULT_RANK_TOLERANCE:g} "
-            "(consider the ridge estimator)",
-            units=labels,
-        )
-
-    xt = np.ascontiguousarray(xu.swapaxes(-1, -2))  # (..., N, K, T): xdot_i' per unit
-    a = sym_inv(_identity_where(block_failed, blocks)) @ xt
-    ay = np.einsum("...nkt,...nt->...nk", a, y)
-    # sums over units as (NK x T) matrix products; no (N, T, T) array of M_i
-    xt_flat = xt.reshape(*batch, -1, t)
-    cap = np.eye(t) - xt_flat.swapaxes(-1, -2) @ a.reshape(*batch, -1, t) / (n * t)
-    cap = 0.5 * (cap + cap.swapaxes(-1, -2))
+    *batch, n, t, _ = f.dp.x_unit_dm.shape
+    f.check(
+        unit_labels,
+        SingularBlock,
+        "every diagonal block is numerically zero; the regressors carry "
+        "no within-unit variation (consider the ridge estimator)",
+        "diagonal block(s) for unit(s) {} fail the condition threshold "
+        f"{DEFAULT_RANK_TOLERANCE:g} (consider the ridge estimator)",
+    )
+    _, a, ay, sum_m, sum_my = f.pieces
+    cap = np.eye(t) - sum_m / (n * t)
+    # a failed panel's capacitance is not read; it becomes the identity
+    cap = np.where(f.failed[..., None, None], np.eye(t), 0.5 * (cap + cap.swapaxes(-1, -2)))
     ev = np.linalg.eigvalsh(cap)
     cap_lo, cap_hi = ev[..., 0], ev[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,39 +285,14 @@ def two_way_slopes(
             "the cross-section coupling matrix is numerically singular; the "
             "double-demeaned regressors do not span all slope directions"
         )
-    # sum M_i y_i / (N T^2)
-    rhs = (ay.reshape(*batch, 1, -1) @ xt_flat)[..., 0, :] / (n * t * t)
-    failed = block_failed | cap_failed
-    w = sym_solve(cap, rhs, failed)
+    failed = f.failed | cap_failed
+    w = sym_solve(cap, sum_my / (n * t * t), failed)
     slopes = ay / t + (a @ w[..., None, :, None])[..., 0]
     slopes[failed] = np.nan
     return slopes
 
 
-def screen_loo_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Flag the subsamples whose block check may fail or nearly fail.
-
-    Deleting unit j leaves every other block as it is, so subsample j's
-    reference scale is the largest block eigenvalue among the other units,
-    and its smallest kept eigenvalue the smallest among them. The deleted
-    unit's own block is held to ``SCREEN_TOLERANCE`` times that scale, as its
-    inverse is subtracted from the full-sample sums; the kept blocks to
-    ``KEPT_BLOCK_MARGIN`` times the literal threshold. So one weak but valid
-    unit flags only its own subsample.
-    """
-    lo, hi = sym_eig_bounds(blocks)
-    scale = _max_without_each(hi)
-    kept_lo = -_max_without_each(-lo)
-    return ~(
-        (scale > 0.0)
-        & (lo >= SCREEN_TOLERANCE * scale)
-        & (kept_lo >= KEPT_BLOCK_MARGIN * DEFAULT_RANK_TOLERANCE * scale)
-    )
-
-
-def loo_two_way(
-    dp: DemeanedPanel, kappa: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def loo_two_way(f: TwoWayFactor) -> tuple[np.ndarray, np.ndarray]:
     """Mean slopes of the two-way system on every (N-1)-unit subsample.
 
     With A_i and M_i as in the module docstring and a subsample of N - 1
@@ -316,27 +338,20 @@ def loo_two_way(
 
     Returns the (..., N, K) values and an (..., N) mask of subsamples whose
     block or capacitance check lands below ``SCREEN_TOLERANCE``; their values
-    are 0 and not to be used. ``kappa`` is one shift, or one per panel (...).
+    are 0 and not to be used.
     """
-    xu, y = dp.x_unit_dm, dp.y_dd
+    xu, y = f.dp.x_unit_dm, f.dp.y_dd
     *batch, n, t, k = xu.shape
-    blocks = _shifted_blocks(xu, kappa)
-    flagged = screen_loo_blocks(blocks)
+    flagged = f.flagged.copy()
     if flagged.all():
         return np.zeros((*batch, n, k)), flagged
-    # Every subsample of a panel with a singular block is flagged.
-    blocks = _identity_where(flagged.all(axis=-1), blocks)
     c = 1.0 / ((n - 1) * t)
-    xt = np.ascontiguousarray(xu.swapaxes(-1, -2))  # (..., N, K, T): xdot_i' per unit
-    a = sym_inv(blocks) @ xt
-    xt_flat = xt.reshape(*batch, -1, t)
-    sum_m = xt_flat.swapaxes(-1, -2) @ a.reshape(*batch, -1, t)
+    xt, a, ay, sum_m, sum_my = f.pieces
     means = (y.sum(axis=-2, keepdims=True) - y) / (n - 1)
-    ay = np.einsum("...nkt,...nt->...nk", a, y)
     a_dev = np.einsum("...nkt,...nt->...nk", a, y - means)
     # sum of M_i (y_i - m) over the subsample: over all units, less unit j's
     rhs = (
-        ay.reshape(*batch, 1, -1) @ xt_flat
+        sum_my[..., None, :]
         - means @ sum_m.swapaxes(-1, -2)
         - np.einsum("...ntk,...nk->...nt", xu, a_dev)
     ) * (c / t)
@@ -352,8 +367,8 @@ def loo_two_way(
         # eigenvalues; none of its values is taken from it
         lam = np.where(cleared.any(axis=-1, keepdims=True), lam, 1.0)
         d_inv = (vec / lam[..., None, :]) @ vec.swapaxes(-1, -2)
-        d_inv_x = (xt_flat @ d_inv).reshape(xt.shape)  # (D^{-1} xdot_j)'
-        h = blocks + c * (d_inv_x @ xu)
+        d_inv_x = (xt.reshape(*batch, -1, t) @ d_inv).reshape(xt.shape)  # (D^{-1} xdot_j)'
+        h = f.blocks + c * (d_inv_x @ xu)
         h_lo, h_hi = sym_eig_bounds(h)
         cleared &= (h_lo > 0.0) & (h_lo >= SCREEN_TOLERANCE * h_hi)
         h[~cleared] = np.eye(k)

@@ -1,17 +1,16 @@
 """Leave-one-out jackknife inference and the slope-homogeneity test.
 
 The covariance estimator needs every estimator's value on every (N-1)-unit
-subsample. Deleting a unit changes only sums over units, so the panel is
-demeaned once, per-unit pieces are built once, and each leave-one-out value
-follows by subtracting one unit's terms from the full-sample sums
-(``estimators.leave_one_out``): O(N) per estimator and algebraically equal
-to re-estimating, so the jackknife stays exact rather than approximate. Each
-subsample's failure checks are downdated the same way. A subsample whose
-check fails or comes within a fixed margin of its threshold is re-estimated
-with the public estimator on the rebuilt subpanel, which raises the same
-error a literal loop over subsamples would raise first, or supplies the
-value. A ridge shift recomputed on every subsample does not downdate, so
-that policy always re-estimates literally.
+subsample. Deleting a unit changes only sums over units, so ``fit`` demeans
+the panel once and reads each estimator's estimates and leave-one-out values
+from one set of per-unit pieces, the latter (and each subsample's failure
+checks) by subtracting one unit's terms from the full-sample sums: O(N) per
+estimator and algebraically equal to re-estimating, so the jackknife stays
+exact. A subsample whose check fails or comes within a fixed margin of its
+threshold is re-estimated with the public estimator on the rebuilt
+subpanel, which raises the error a literal loop over subsamples would raise
+first, or supplies the value. ``jackknife``, ``poolability_test``, the CLI's
+``estimate`` and ``test`` and each Monte Carlo batch are views of ``fit``.
 
 For an estimate b with leave-one-out values b_(-i),
 
@@ -45,17 +44,12 @@ from .errors import (
     EstimationError,
     MethodMismatch,
     OutOfRange,
+    PanelMgError,
     RankDeficient,
     SingularOmegaDelta,
     TooSmall,
 )
-from .estimators import (
-    Method,
-    SlopeEstimates,
-    compute_ridge_kappa,
-    estimate,
-    leave_one_out,
-)
+from .estimators import Method, SlopeEstimates, estimate, fit_stack
 from .panel import PanelData, double_demean
 
 __all__ = [
@@ -66,7 +60,6 @@ __all__ = [
     "jackknife",
     "confidence_interval",
     "poolability_test",
-    "loo_estimates",
     "omega_from_loo",
     "holm_adjust",
     "chi_square_upper_tail",
@@ -195,36 +188,9 @@ def _annotate(exc: EstimationError, label: str) -> EstimationError:
     return type(exc)(msg)
 
 
-def loo_estimates(
-    panel: PanelData,
-    methods: Sequence[Method],
-    ridge_kappa: float | None,
-) -> dict[Method, np.ndarray]:
-    """Coefficient estimates on every (N-1)-unit subsample, per method.
-
-    The panel is demeaned once and every method's values are downdated from
-    it (``estimators.leave_one_out``). Subsamples it flags are re-estimated
-    with the public estimator on the rebuilt subpanel, visited in unit order
-    and then in the order of ``methods``, as a loop over all subsamples
-    would visit them, so the first failure raises the same error, annotated
-    with the removed unit. ``ridge_kappa`` is forwarded to the ridge
-    estimator; None means each subsample recomputes its own shift, which is
-    always re-estimated literally.
-    """
-    dp = double_demean(panel)
-    out, flagged = {}, {}
-    for m in methods:
-        out[m], flagged[m] = leave_one_out(dp, m, ridge_kappa)
-    for i in np.flatnonzero(np.any([flagged[m] for m in methods], axis=0)):
-        sub = panel.without_unit(int(i))
-        for m in methods:
-            if not flagged[m][i]:
-                continue
-            try:
-                out[m][i] = estimate(sub, m, kappa=ridge_kappa).beta_hat
-            except EstimationError as exc:
-                raise _annotate(exc, panel.unit_labels[i]) from exc
-    return out
+def _require_three_units(n: int, what: str) -> None:
+    if n < 3:
+        raise TooSmall(f"{what} needs N >= 3 units, got N={n}")
 
 
 def omega_from_loo(loo: np.ndarray) -> np.ndarray:
@@ -256,19 +222,127 @@ def joint_statistics(
     return np.where(singular, 0.0, joint), singular
 
 
+@dataclass
+class Fit:
+    """Estimators fitted by ``fit`` to one panel or a stack of panels (...).
+
+    ``beta`` holds each estimator's estimates (..., K), NaN where
+    ``estimate`` would raise on that panel, and ``unit_slopes`` its per-unit
+    slopes (..., N, K), None for tw-pooled; ``kappa`` is tw-mg-ridge's shift
+    (...). ``loo`` and ``flagged`` hold the leave-one-out estimates and the
+    subsamples re-estimated literally, ``has`` the (...) panels where every
+    re-estimation succeeded, and ``failures`` each estimator's first failing
+    one per panel, as (panel index, method, error), in the order a loop over
+    the subsamples meets them.
+    """
+
+    panel: PanelData
+    beta: dict[Method, np.ndarray]
+    unit_slopes: dict[Method, np.ndarray | None]
+    kappa: np.ndarray | None
+    loo: dict[Method, np.ndarray]
+    flagged: dict[Method, np.ndarray]
+    has: dict[Method, np.ndarray]
+    failures: list[tuple[tuple, Method, PanelMgError]]
+
+    def kappa_used(self, method: Method) -> float | None:
+        return float(self.kappa) if method is Method.TW_MG_RIDGE else None
+
+    def estimate(self, method: Method) -> SlopeEstimates:
+        """The estimates of ``method`` on the one panel; where they are not
+        finite, the public estimator runs again to raise its error."""
+        kappa = self.kappa_used(method)
+        if not np.isfinite(self.beta[method]).all():
+            return estimate(self.panel, method, kappa)
+        return SlopeEstimates(method, self.beta[method], self.unit_slopes[method], kappa)
+
+    def check(self, methods: Sequence[Method]) -> None:
+        """Raise the first failing re-estimation of ``methods`` (one panel)."""
+        for _, m, exc in self.failures:
+            if m in methods:
+                raise exc
+
+    def omega(self, method: Method) -> np.ndarray:
+        return omega_from_loo(self.loo[method])
+
+    def jackknife(self, method: Method) -> JackknifeCovariance:
+        """The jackknife covariance of ``method`` on the one panel."""
+        _require_three_units(self.panel.y.shape[-2], "jackknife")
+        self.check([method])
+        loo = self.loo[method]
+        if np.all(loo == loo[0]):
+            raise DegenerateJackknife(
+                "all leave-one-out estimates are identical; no spread to estimate"
+            )
+        return JackknifeCovariance(method, self.omega(method), loo, self.kappa_used(method))
+
+    def homogeneity(self, method: Method) -> tuple[np.ndarray, ...]:
+        """delta = b_mg - b_pooled (..., K) of ``method``, OmegaDelta, J with
+        the mask of singular OmegaDelta (``joint_statistics``), and J's
+        chi-square tail."""
+        delta = self.beta[method] - self.beta[Method.TW_POOLED]
+        omega_delta = omega_from_loo(self.loo[method] - self.loo[Method.TW_POOLED])
+        joint, singular = joint_statistics(delta, omega_delta, self.panel.y.shape[-2])
+        return delta, omega_delta, joint, singular, chi_square_tails(joint, delta.shape[-1])
+
+
+def fit(
+    panel: PanelData,
+    methods: Sequence[Method],
+    kappa: float | None = None,
+    loo: Sequence[Method] | None = None,
+) -> Fit:
+    """Fit ``methods`` to ``panel``, a PanelData or a stack of panels (``y``
+    (..., N, T) and ``x`` (..., N, T, K)), from one demeaning, with
+    leave-one-out estimates for those in ``loo`` (default: all).
+
+    ``kappa`` is the ridge shift held on the full sample and every
+    subsample, None for each panel's data-driven one. The subsamples
+    ``estimators.fit_stack`` flags are re-estimated with the public
+    estimator on the rebuilt subpanel, in unit order and then in the order
+    of ``methods``, as a loop over all subsamples would visit them; one that
+    fails is recorded, annotated with the removed unit, and ends that
+    estimator's re-estimation on that panel.
+    """
+    methods = [Method(m) for m in methods]
+    loo = methods if loo is None else loo
+    slopes, shift, values, flagged = fit_stack(double_demean(panel), methods, kappa, loo)
+    failures = []
+    batch = panel.y.shape[:-2]
+    has = {m: np.ones(batch, dtype=bool) for m in loo}
+    any_flagged = np.any([flagged[m] for m in loo], axis=0) if loo else np.zeros((*batch, 0))
+    for r in map(tuple, np.argwhere(any_flagged.any(axis=-1))):
+        one = PanelData.from_arrays(panel.y[r], panel.x[r]) if batch else panel
+        for i in np.flatnonzero(any_flagged[r]):
+            sub = None
+            for m in loo:
+                if not (has[m][r] and flagged[m][r + (i,)]):
+                    continue
+                kappa_r = float(shift[r]) if m is Method.TW_MG_RIDGE else None
+                try:
+                    sub = sub or one.without_unit(int(i))
+                    values[m][r + (i,)] = estimate(sub, m, kappa=kappa_r).beta_hat
+                except PanelMgError as exc:
+                    if isinstance(exc, EstimationError):
+                        exc = _annotate(exc, one.unit_labels[i])
+                    has[m][r] = False
+                    failures.append((r, m, exc))
+    beta = {m: s if m is Method.TW_POOLED else s.mean(axis=-2) for m, s in slopes.items()}
+    unit_slopes = {m: None if m is Method.TW_POOLED else s for m, s in slopes.items()}
+    return Fit(panel, beta, unit_slopes, shift, values, flagged, has, failures)
+
+
 def jackknife(
     panel: PanelData,
     method: Method | str,
-    kappa_policy: str = "fixed",
     kappa: float | None = None,
 ) -> JackknifeCovariance:
     """Exact leave-one-out jackknife covariance for any supported estimator.
 
     Leave-one-out values are downdated from one pass over the panel, O(N)
-    in all; subsamples whose checks come near failure, and every subsample
-    under ``kappa_policy="recomputed"``, are re-estimated literally instead.
-    A failing subsample raises the estimator's error, annotated with the
-    removed unit.
+    in all (``fit``); subsamples whose checks come near failure are
+    re-estimated literally instead. A failing subsample raises the
+    estimator's error, annotated with the removed unit.
 
     Parameters
     ----------
@@ -276,35 +350,13 @@ def jackknife(
         Needs N >= 3 so the spread over subsamples is defined.
     method : Method or str
         Which estimator to re-run on each subsample.
-    kappa_policy : {"fixed", "recomputed"}
-        Ridge only: "fixed" (default) computes the shift once on the full
-        sample and reuses it on every subsample, "recomputed" re-derives it
-        per subsample.
     kappa : float, optional
-        Ridge only: explicit full-sample shift, overriding the computed one
-        under the "fixed" policy.
+        Ridge only: the shift held on the full sample and on every
+        subsample; by default the full sample's data-driven one.
     """
     method = Method(method)
-    if panel.n_units < 3:
-        raise TooSmall(
-            f"jackknife needs N >= 3 units, got N={panel.n_units}"
-        )
-    if kappa_policy not in ("fixed", "recomputed"):
-        raise OutOfRange(f"unknown kappa policy {kappa_policy!r}")
-    ridge_kappa = None
-    if method is Method.TW_MG_RIDGE and kappa_policy == "fixed":
-        ridge_kappa = float(kappa) if kappa is not None else compute_ridge_kappa(panel)
-    loo = loo_estimates(panel, [method], ridge_kappa)[method]
-    if np.all(loo == loo[0]):
-        raise DegenerateJackknife(
-            "all leave-one-out estimates are identical; no spread to estimate"
-        )
-    return JackknifeCovariance(
-        method=method,
-        omega_hat=omega_from_loo(loo),
-        loo_estimates=loo,
-        kappa_used=ridge_kappa,
-    )
+    _require_three_units(panel.n_units, "jackknife")
+    return fit(panel, [method], kappa).jackknife(method)
 
 
 def confidence_interval(
@@ -346,24 +398,19 @@ def poolability_test(panel: PanelData, use_ridge: bool = False) -> PoolabilityRe
     ``use_ridge`` swaps the plain mean-group estimator for its ridge variant
     (full-sample shift held fixed across subsamples).
     """
-    if panel.n_units < 3:
-        raise TooSmall(
-            f"poolability test needs N >= 3 units, got N={panel.n_units}"
-        )
+    _require_three_units(panel.n_units, "poolability test")
     base = Method.TW_MG_RIDGE if use_ridge else Method.TW_MG
-    full_mg = estimate(panel, base)
-    ridge_kappa = full_mg.kappa_used
-    full_pooled = estimate(panel, Method.TW_POOLED)
-    loo = loo_estimates(panel, [base, Method.TW_POOLED], ridge_kappa)
-    delta = full_mg.beta_hat - full_pooled.beta_hat
-    n, k = panel.n_units, panel.n_regressors
-    omega_delta = omega_from_loo(loo[base] - loo[Method.TW_POOLED])
-    joint, singular = joint_statistics(delta, omega_delta, n)
+    f = fit(panel, [base, Method.TW_POOLED])
+    ridge_kappa = f.estimate(base).kappa_used
+    f.estimate(Method.TW_POOLED)
+    f.check([base, Method.TW_POOLED])
+    delta, omega_delta, joint, singular, _ = f.homogeneity(base)
     if singular:
         raise SingularOmegaDelta(
             "jackknife covariance of the mean-group/pooled contrast is "
             "numerically singular; the joint statistic is not defined"
         )
+    n, k = panel.n_units, panel.n_regressors
     stats = [float(n * delta[j] ** 2 / omega_delta[j, j]) for j in range(k)]
     raw = [chi_square_upper_tail(stat, 1) for stat in stats]
     holm = holm_adjust(raw)

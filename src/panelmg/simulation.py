@@ -24,15 +24,15 @@ worker count or the batching.
 A cell's replications run in batches of at most ``_BATCH_ELEMENTS`` values
 of x (replications x N x T x K), so the batches depend on the cell's shape
 alone. Each replication still draws its panel from its own seed; the panels
-of a batch are stacked, demeaned once, and fitted by one stacked pass per
-estimator, which gives every panel the floating-point result it gets alone.
-Leave-one-out values, Omega, coverage and the joint homogeneity statistic
-follow as stacked arrays, and what would raise for one panel is a mask on
-the stack. A failing estimator gives a NaN row, counted as a failure. A
-panel whose leave-one-out subsamples are flagged for one estimator has that
-estimator's values re-estimated alone by ``inference.loo_estimates``; if
-that raises, the panel has no interval for it, and no test if it is
-tw-pooled's values that fail. A singular OmegaDelta, or a joint statistic
+of a batch are stacked and fitted by one ``inference.fit``: one demeaning
+and one stacked pass per estimator, which gives every panel the
+floating-point result it gets alone. Leave-one-out values, Omega, coverage
+and the joint homogeneity statistic follow as stacked arrays, and what would
+raise for one panel is a mask on the stack. A failing estimator gives a NaN
+row, counted as a failure. A panel whose leave-one-out subsamples are
+flagged for one estimator has them re-estimated literally on that panel
+alone; if that raises, the panel has no interval for it, and no test if it
+is tw-pooled's values that fail. A singular OmegaDelta, or a joint statistic
 that is not finite and >= 0, gives no test either. So each replication's
 result is the one a loop of the public one-panel functions gives.
 """
@@ -42,7 +42,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,16 +49,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, PanelMgError
-from .estimators import Method, estimate_stack, leave_one_out
-from .inference import (
-    chi_square_tails,
-    joint_statistics,
-    loo_estimates,
-    normal_quantile_upper,
-    omega_from_loo,
-)
-from .panel import PanelData, double_demean
+from .errors import OutOfRange
+from .estimators import Method
+from .inference import fit, normal_quantile_upper
+from .panel import PanelData
 
 __all__ = [
     "DgpSpec",
@@ -312,37 +305,15 @@ def _derive_seed(base_seed: int, cell_index: int, replication: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _loo_stack(y, x, dp, method: Method, kappa, wanted: np.ndarray):
-    """Leave-one-out values (R, N, K) of ``method`` on the panels of a
-    stack, and the (R,) mask of the panels that have them.
-
-    Only the ``wanted`` panels have values. One of them with a flagged
-    subsample is re-estimated alone by ``loo_estimates``, as one panel
-    would be; if that raises, the panel has none. A panel without values
-    holds zeros, so the stacked arithmetic on them stays finite.
-    """
-    values, flagged = leave_one_out(dp, method, kappa)
-    has = wanted.copy()
-    for r in np.flatnonzero(wanted & flagged.any(axis=-1)):
-        panel = PanelData.from_arrays(y[r], x[r])
-        kappa_r = None if kappa is None else float(kappa[r])
-        try:
-            values[r] = loo_estimates(panel, [method], kappa_r)[method]
-        except PanelMgError:
-            has[r] = False
-    values[~has] = 0.0
-    return values, has
-
-
 def _run_batch(batch: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The replications of one cell, run as one stack.
 
     ``batch`` is (dgp, N, T, estimator names, seeds, level, test level),
-    one seed per replication. Each replication draws its own panel from its own seed, as
-    ``simulate_dgp`` draws it, and the panels are stacked into y (R, N, T)
-    and x (R, N, T, K). One demeaning and one pass per estimator fit them
-    all, and the leave-one-out values, Omega, coverage and the joint
-    statistic follow as stacked arrays.
+    one seed per replication. Each replication draws its own panel from its
+    own seed, as ``simulate_dgp`` draws it, and the panels are stacked into
+    y (R, N, T) and x (R, N, T, K). One ``inference.fit`` of the stack gives
+    the estimates, the leave-one-out values, Omega and the joint statistic
+    as stacked arrays, and coverage follows from them.
 
     Returns, per replication and estimator, the estimation errors (R, M, K),
     NaN where the estimator fails; whether each coefficient's interval
@@ -353,42 +324,22 @@ def _run_batch(batch: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dgp_id, n_units, n_periods, method_values, seeds, level, test_level = batch
     methods = [Method(v) for v in method_values]
     y, x, _ = _draw(dgp_id, n_units, n_periods, seeds)
-    dp = double_demean(SimpleNamespace(y=y, x=x))
     k = DGP_N_REGRESSORS[dgp_id]
-
-    betas, shifts = {}, {}
-    for m in methods:
-        betas[m], shifts[m] = estimate_stack(dp, m)
-    errors = np.stack([betas[m] - np.ones(k) for m in methods], axis=1)
+    inf_methods = [m for m in methods if m in _INFERENCE_METHODS]
+    loo = inf_methods + [Method.TW_POOLED] if inf_methods else []
+    f = fit(SimpleNamespace(y=y, x=x), methods + [m for m in loo if m not in methods], loo=loo)
+    errors = np.stack([f.beta[m] - np.ones(k) for m in methods], axis=1)
     covered = np.full(errors.shape, np.nan)
     rejected = np.full(errors.shape[:-1], np.nan)
-    inf_methods = [m for m in methods if m in _INFERENCE_METHODS]
-    if not inf_methods:
-        return errors, covered, rejected
-    pooled = Method.TW_POOLED
-    if pooled not in betas:
-        betas[pooled], _ = estimate_stack(dp, pooled)
-    # The leave-one-out ridge fits keep the full-sample shift; where it is
-    # not finite, the ridge estimate failed and needs no such fits.
-    kappa = shifts.get(Method.TW_MG_RIDGE)
-    if kappa is not None:
-        kappa = np.where(np.isfinite(kappa), kappa, 0.0)
-    loo, has = {}, {}
-    for m in inf_methods + [pooled]:
-        wanted = np.isfinite(betas[m]).all(axis=-1)
-        loo[m], has[m] = _loo_stack(y, x, dp, m, kappa, wanted)
-
+    has = {m: np.isfinite(f.beta[m]).all(axis=-1) & f.has[m] for m in loo}
     z = normal_quantile_upper((1.0 - level) / 2.0)
     for m in inf_methods:
         j = methods.index(m)
-        omega = omega_from_loo(loo[m])
-        se = np.sqrt(np.diagonal(omega, axis1=-2, axis2=-1) / n_units)
+        se = np.sqrt(np.diagonal(f.omega(m), axis1=-2, axis2=-1) / n_units)
         covered[has[m], j] = (np.abs(errors[:, j]) <= z * se)[has[m]]
-        delta = betas[m] - betas[pooled]
-        omega_delta = omega_from_loo(loo[m] - loo[pooled])
-        joint, singular = joint_statistics(delta, omega_delta, n_units)
-        tested = has[m] & has[pooled] & ~singular & np.isfinite(joint) & (joint >= 0.0)
-        rejected[tested, j] = (chi_square_tails(joint, k) < test_level)[tested]
+        _, _, joint, singular, tail = f.homogeneity(m)
+        tested = has[m] & has[Method.TW_POOLED] & ~singular & np.isfinite(joint) & (joint >= 0.0)
+        rejected[tested, j] = (tail < test_level)[tested]
     return errors, covered, rejected
 
 
@@ -485,7 +436,11 @@ def run_monte_carlo(
 
     method_values = tuple(m.value for m in methods)
     all_cells: list[SimCell] = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers)
     try:
         for ci, cell in enumerate(cells):
             dgp_id, n_units, n_periods = cell

@@ -209,15 +209,15 @@ def batched_capacitance_loo(dp, kappa):
     solves it, all as one (N, T, T) batch. Returns the same (N, K) values
     and (N,) flags.
     """
-    from panelmg.gram import SCREEN_TOLERANCE, _shifted_blocks, screen_loo_blocks, sym_inv
+    from panelmg.gram import SCREEN_TOLERANCE, TwoWayFactor, sym_inv
 
     xu, y = dp.x_unit_dm, dp.y_dd
     n, t, k = xu.shape
-    blocks = _shifted_blocks(xu, kappa)
-    flagged = screen_loo_blocks(blocks)
+    factor = TwoWayFactor(dp, kappa)
+    flagged = factor.flagged.copy()
     if flagged.all():
         return np.zeros((n, k)), flagged
-    a = sym_inv(blocks) @ xu.transpose(0, 2, 1)
+    a = sym_inv(factor.blocks) @ xu.transpose(0, 2, 1)
     m = xu @ a
     sum_m = m.sum(axis=0)
     means = (y.sum(axis=0) - y) / (n - 1)
@@ -246,8 +246,8 @@ def literal_replication(task):
     ``task`` is (dgp, N, T, estimator names, seed, level, test level). The
     panel comes from ``simulate_dgp``; each estimator is run on it, and each
     two-way mean-group estimator that succeeds gets its jackknife interval
-    from ``loo_estimates`` and its homogeneity test from
-    ``poolability_test``. A method whose leave-one-out values fail loses
+    from the leave-one-out values of a ``fit`` of that one panel and its
+    homogeneity test from ``poolability_test``. A method whose leave-one-out values fail loses
     only its own interval and test; tw-pooled's failing costs every test.
     Returns the row ``simulation._run_batch`` gives the replication: errors
     and coverage (M, K) and rejection (M,), NaN where there is none.
@@ -263,7 +263,7 @@ def literal_replication(task):
         poolability_test,
         simulate_dgp,
     )
-    from panelmg.inference import loo_estimates, omega_from_loo
+    from panelmg.inference import fit, omega_from_loo
 
     dgp_id, n_units, n_periods, method_values, seed, level, test_level = task
     methods = [Method(v) for v in method_values]
@@ -287,14 +287,8 @@ def literal_replication(task):
     pooled_full = None
     if inf_methods:
         wanted = inf_methods + [Method.TW_POOLED]
-        try:
-            loo = loo_estimates(panel, wanted, kappa)
-        except PanelMgError:
-            for m in wanted:
-                try:
-                    loo.update(loo_estimates(panel, [m], kappa))
-                except PanelMgError:
-                    pass
+        fitted = fit(panel, wanted, kappa)
+        loo = {m: fitted.loo[m] for m in wanted if fitted.has[m]}
         try:
             pooled_full = estimates.get(Method.TW_POOLED) or estimate(panel, Method.TW_POOLED)
         except PanelMgError:

@@ -82,3 +82,19 @@ def test_import_loads_no_scipy():
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert proc.stdout.strip() == "[]", module
+
+
+def test_import_loads_no_process_pool():
+    # only run_monte_carlo with more than one worker needs one
+    src = str(Path(panelmg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("panelmg", "panelmg.cli"):
+        code = (
+            f"import sys, {module}; print([m for m in sys.modules "
+            "if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]", module

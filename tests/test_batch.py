@@ -9,21 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import panelmg.inference as inference
 import panelmg.simulation as simulation
 from panelmg import DGP_N_REGRESSORS, Method, PanelData, estimate, run_monte_carlo
 from panelmg.cli import main
 from panelmg.errors import EstimationError
-from panelmg.estimators import (
-    _ridge_kappa,
-    _standard_mg,
-    _standard_mg_loo,
-    _tw_pooled,
-    _tw_pooled_loo,
-    estimate_stack,
-    leave_one_out,
-)
-from panelmg.gram import loo_two_way, two_way_slopes
-from panelmg.inference import joint_statistics, omega_from_loo
+from panelmg.estimators import _ridge_kappa, _standard_mg, _tw_pooled, _unit_gram
+from panelmg.gram import TwoWayFactor, loo_two_way, two_way_slopes
+from panelmg.inference import fit
 from panelmg.panel import double_demean
 from oracles import literal_monte_carlo, random_panel
 
@@ -73,6 +66,16 @@ def assert_each_panel(stacked, single):
             assert np.array_equal(g[r], w, equal_nan=True), r
 
 
+def outputs(slopes, pair):
+    """A full-sample kernel's slopes and leave-one-out values and flags, as one list."""
+    return [slopes, *pair]
+
+
+def failures(f, r):
+    """The (method, class, message) of each failure ``f`` records for panel ``r``."""
+    return [(m, type(e), str(e)) for p, m, e in f.failures if p == r]
+
+
 @settings(max_examples=80, deadline=None)
 @given(stacks())
 @example(stack_of(5, 3, n=3, t=6, k=4, x_exp=8, y_exp=-8))
@@ -81,57 +84,55 @@ def test_kernels_are_bit_identical_across_batch_shapes(data):
     y, x = data
     dp = double_demean(SimpleNamespace(y=y, x=x))
     alone = [double_demean(PanelData.from_arrays(y[r], x[r])) for r in range(len(y))]
-    kappa = _ridge_kappa(dp)
-    assert np.array_equal(kappa, [_ridge_kappa(d) for d in alone], equal_nan=True)
+    gram = _unit_gram(dp)
+    kappa = _ridge_kappa(dp, gram)
+    assert np.array_equal(kappa, [_ridge_kappa(d, _unit_gram(d)) for d in alone], equal_nan=True)
     kappa = np.where(np.isfinite(kappa), kappa, 0.0)
 
-    assert_each_panel(lambda: [two_way_slopes(dp, 0.0)], [[two_way_slopes(d, 0.0)] for d in alone])
+    for shift in (np.zeros(len(y)), kappa):
+        f = TwoWayFactor(dp, shift)
+        single = [TwoWayFactor(d, shift[r]) for r, d in enumerate(alone)]
+        assert_each_panel(lambda: [two_way_slopes(f)], [[two_way_slopes(g)] for g in single])
+        assert_each_panel(lambda: loo_two_way(f), [loo_two_way(g) for g in single])
     assert_each_panel(
-        lambda: [two_way_slopes(dp, kappa)],
-        [[two_way_slopes(d, kappa[r])] for r, d in enumerate(alone)],
+        lambda: outputs(*_tw_pooled(dp, gram, None, True)),
+        [outputs(*_tw_pooled(d, _unit_gram(d), None, True)) for d in alone],
     )
-    assert_each_panel(lambda: loo_two_way(dp, 0.0), [loo_two_way(d, 0.0) for d in alone])
     assert_each_panel(
-        lambda: loo_two_way(dp, kappa), [loo_two_way(d, kappa[r]) for r, d in enumerate(alone)]
+        lambda: outputs(*_standard_mg(dp, None, True)),
+        [outputs(*_standard_mg(d, None, True)) for d in alone],
     )
-    assert_each_panel(lambda: [_tw_pooled(dp, None)], [[_tw_pooled(d, None)] for d in alone])
-    assert_each_panel(lambda: _tw_pooled_loo(dp), [_tw_pooled_loo(d) for d in alone])
-    assert_each_panel(lambda: [_standard_mg(dp, None)], [[_standard_mg(d, None)] for d in alone])
-    assert_each_panel(lambda: _standard_mg_loo(dp), [_standard_mg_loo(d) for d in alone])
 
-    loo = {}
+    # one fit of the stack is the fit of each panel alone, literal
+    # re-estimation of the flagged subsamples and its failures included
+    stacked = fit(SimpleNamespace(y=y, x=x), list(Method))
+    single = [fit(PanelData.from_arrays(y[r], x[r]), list(Method)) for r in range(len(y))]
+    assert_each_panel(lambda: [stacked.kappa], [[g.kappa] for g in single])
     for m in Method:
-        assert_each_panel(
-            lambda: [estimate_stack(dp, m)[0]], [[estimate_stack(d, m)[0]] for d in alone]
-        )
-        assert_each_panel(
-            lambda: leave_one_out(dp, m, kappa),
-            [leave_one_out(d, m, kappa[r]) for r, d in enumerate(alone)],
-        )
-        loo[m] = leave_one_out(dp, m, kappa)[0]
-        assert_each_panel(lambda: [omega_from_loo(loo[m])], [[omega_from_loo(v)] for v in loo[m]])
-    delta = estimate_stack(dp, Method.TW_MG)[0] - estimate_stack(dp, Method.TW_POOLED)[0]
-    omega = omega_from_loo(loo[Method.TW_MG] - loo[Method.TW_POOLED])
-    n = dp.n_units
-    assert_each_panel(
-        lambda: joint_statistics(delta, omega, n),
-        [joint_statistics(d, o, n) for d, o in zip(delta, omega)],
-    )
+        def parts(g):
+            return [g.beta[m], g.loo[m], g.flagged[m], g.has[m], g.omega(m)]
+
+        assert_each_panel(lambda: parts(stacked), [parts(g) for g in single])
+    for m in (Method.TW_MG, Method.TW_MG_RIDGE):
+        assert_each_panel(lambda: stacked.homogeneity(m), [g.homogeneity(m) for g in single])
+    for r, g in enumerate(single):
+        assert failures(stacked, (r,)) == failures(g, ())
 
 
 @settings(max_examples=40, deadline=None)
 @given(stacks(), st.sampled_from(METHODS))
 def test_stacked_estimates_are_the_public_estimates(data, method):
     y, x = data
-    beta, kappa = estimate_stack(double_demean(SimpleNamespace(y=y, x=x)), method)
+    method = Method(method)
+    f = fit(SimpleNamespace(y=y, x=x), [method], loo=[])
     for r in range(len(y)):
         try:
             est = estimate(PanelData.from_arrays(y[r], x[r]), method)
         except EstimationError:
-            assert np.isnan(beta[r]).all()
+            assert np.isnan(f.beta[method][r]).all()
             continue
-        assert np.array_equal(beta[r], est.beta_hat)
-        assert est.kappa_used == (None if kappa is None else kappa[r])
+        assert np.array_equal(f.beta[method][r], est.beta_hat)
+        assert est.kappa_used == (None if f.kappa is None else f.kappa[r])
 
 
 def report_text(report):
@@ -189,13 +190,13 @@ def test_failing_estimators_count_as_failures(monkeypatch):
 
 def test_flagged_subsamples_reach_the_literal_path(monkeypatch):
     calls = []
-    real = simulation.loo_estimates
+    real = inference.estimate
 
-    def loo_estimates(panel, methods, kappa):
-        calls.append(methods)
-        return real(panel, methods, kappa)
+    def estimate(panel, method, kappa=None):
+        calls.append(method)
+        return real(panel, method, kappa)
 
-    monkeypatch.setattr(simulation, "loo_estimates", loo_estimates)
+    monkeypatch.setattr(inference, "estimate", estimate)
     cells = [(4, 3, 4), (6, 3, 4)]
     report = run_monte_carlo(cells, METHODS, 30, 3)
     assert calls

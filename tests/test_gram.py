@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from panelmg import OutOfRange, PanelData, SingularBlock, SingularCapacitance, double_demean
-from panelmg.gram import sym_eig_bounds, sym_inv, sym_solve, two_way_slopes
+from panelmg.gram import TwoWayFactor, sym_eig_bounds, sym_inv, sym_solve, two_way_slopes
 from oracles import dense_gram, random_panel
 
 
@@ -28,7 +28,7 @@ class TestAssembly:
         panel, dp = demeaned()
         for kappa in (-1e-9, np.nan, np.inf):
             with pytest.raises(OutOfRange, match="kappa must be nonnegative"):
-                two_way_slopes(dp, kappa, panel.unit_labels)
+                two_way_slopes(TwoWayFactor(dp, kappa), panel.unit_labels)
 
 
 class TestSolve:
@@ -45,7 +45,7 @@ class TestSolve:
                         panel = PanelData.from_arrays(y, scale * x)
                         dp = double_demean(panel)
                         for kappa in (0.0, 0.05, 0.1):
-                            got = two_way_slopes(dp, kappa, panel.unit_labels)
+                            got = two_way_slopes(TwoWayFactor(dp, kappa), panel.unit_labels)
                             want = dense_slopes(dp, kappa)
                             assert np.all(
                                 np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))
@@ -54,7 +54,9 @@ class TestSolve:
     def test_solve_with_ridge_matches_dense(self):
         panel, dp = demeaned(seed=7, n=6, t=4, k=2)
         np.testing.assert_allclose(
-            two_way_slopes(dp, 0.05, panel.unit_labels), dense_slopes(dp, 0.05), atol=1e-10
+            two_way_slopes(TwoWayFactor(dp, 0.05), panel.unit_labels),
+            dense_slopes(dp, 0.05),
+            atol=1e-10,
         )
 
 
@@ -64,7 +66,7 @@ class TestSingularity:
         x[2, :, 0] = 4.2  # no within variation for the third unit
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularBlock, match="'u3'") as info:
-            two_way_slopes(double_demean(panel), 0.0, panel.unit_labels)
+            two_way_slopes(TwoWayFactor(double_demean(panel), 0.0), panel.unit_labels)
         assert info.value.units == ("u3",)
         assert "ridge" in str(info.value)
 
@@ -73,7 +75,7 @@ class TestSingularity:
         x = np.tile(np.arange(1.0, 5.0)[:, None, None], (1, 5, 1))
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularBlock) as info:
-            two_way_slopes(double_demean(panel), 0.0, panel.unit_labels)
+            two_way_slopes(TwoWayFactor(double_demean(panel), 0.0), panel.unit_labels)
         assert info.value.units == panel.unit_labels
 
     def test_cross_section_collinearity_hits_capacitance(self):
@@ -87,7 +89,7 @@ class TestSingularity:
         y = rng.normal(size=(4, 6))
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularCapacitance):
-            two_way_slopes(double_demean(panel), 0.0, panel.unit_labels)
+            two_way_slopes(TwoWayFactor(double_demean(panel), 0.0), panel.unit_labels)
 
     def test_ridge_shift_rescues_capacitance(self):
         rng = np.random.default_rng(22)
@@ -96,7 +98,9 @@ class TestSingularity:
         panel = PanelData.from_arrays(rng.normal(size=(4, 6)), np.outer(g, w)[:, :, None])
         dp = double_demean(panel)
         np.testing.assert_allclose(
-            two_way_slopes(dp, 0.1, panel.unit_labels), dense_slopes(dp, 0.1), atol=1e-10
+            two_way_slopes(TwoWayFactor(dp, 0.1), panel.unit_labels),
+            dense_slopes(dp, 0.1),
+            atol=1e-10,
         )
 
 

@@ -209,11 +209,10 @@ class TestJackknife:
         assert fixed.kappa_used == compute_ridge_kappa(panel)
         explicit = jackknife(panel, "tw-mg-ridge", kappa=0.05)
         assert explicit.kappa_used == 0.05
-        recomputed = jackknife(panel, "tw-mg-ridge", kappa_policy="recomputed")
-        assert recomputed.kappa_used is None
-        assert not np.array_equal(recomputed.loo_estimates, fixed.loo_estimates)
-        with pytest.raises(OutOfRange):
-            jackknife(panel, "tw-mg-ridge", kappa_policy="adaptive")
+        # the shift is held on every subsample; there is no per-subsample policy
+        for policy in ("fixed", "recomputed"):
+            with pytest.raises(TypeError, match="kappa_policy"):
+                jackknife(panel, "tw-mg-ridge", kappa_policy=policy)
 
     def test_needs_three_units(self):
         panel = make_panel(seed=65, n=2, t=6, k=1)
@@ -285,13 +284,14 @@ class TestJointStatistic:
             joint, singular = joint_statistics(delta, omega, 10)
             assert singular
             assert joint == 0.0
-        real = inference.loo_estimates
+        real = inference.fit
 
-        def same_contrast(panel, methods, kappa):
-            loo = real(panel, methods, kappa)
-            return dict.fromkeys(methods, loo[methods[0]])
+        def same_contrast(panel, methods, kappa=None, loo=None):
+            f = real(panel, methods, kappa, loo)
+            f.loo[methods[1]] = f.loo[methods[0]]
+            return f
 
-        monkeypatch.setattr(inference, "loo_estimates", same_contrast)
+        monkeypatch.setattr(inference, "fit", same_contrast)
         with pytest.raises(SingularOmegaDelta, match="numerically singular; the joint"):
             poolability_test(make_panel(seed=90))
 

@@ -1,7 +1,7 @@
 """Downdated leave-one-out estimates against literal re-estimation.
 
-``inference.loo_estimates`` downdates every subsample's estimate from one
-demeaned panel; ``oracles.literal_loo`` rebuilds each subpanel and calls the
+``inference.fit`` downdates every subsample's estimate from one demeaned
+panel; ``oracles.literal_loo`` rebuilds each subpanel and calls the
 public estimator. Both must give the same values to rounding error and, where
 a subsample fails, the same exception class, message and offending units.
 """
@@ -20,12 +20,12 @@ from panelmg import (
     SingularSystem,
     TooFewPeriods,
     compute_ridge_kappa,
+    estimate,
     jackknife,
     poolability_test,
 )
-from panelmg.estimators import leave_one_out
-from panelmg.gram import loo_two_way, sym_eig_bounds
-from panelmg.inference import loo_estimates
+from panelmg.gram import TwoWayFactor, loo_two_way, sym_eig_bounds
+from panelmg.inference import fit
 from panelmg.panel import double_demean
 
 METHODS = ["tw-mg", "tw-mg-ridge", "tw-pooled", "mg"]
@@ -41,7 +41,14 @@ def outcome(fn):
 
 def fast_loo(panel, method, kappa=None):
     m = Method(method)
-    return loo_estimates(panel, [m], kappa)[m]
+    f = fit(panel, [m], kappa)
+    f.check([m])
+    return f.loo[m]
+
+
+def reestimated(panel, method):
+    """The subsamples ``fit`` re-estimates literally."""
+    return fit(panel, [Method(method)]).flagged[Method(method)]
 
 
 def assert_same_outcome(panel, method, kappa=None, rel=1e-10):
@@ -97,8 +104,13 @@ class TestErrorsMatchLiteralReestimation:
         want = assert_same_outcome(panel, method)
         assert want[0] is RankDeficient and want[2] == ("u2",)
         assert "unit 'u3' removed" in want[1]
-        _, flagged = leave_one_out(double_demean(panel), method)
-        assert not flagged[0]
+        # The subsample without u1 is cleared by the screen, so its value is
+        # downdated from the blocks of a panel that fails the full-sample
+        # check; it is the literal one all the same.
+        f = fit(panel, [Method(method)])
+        assert not f.flagged[Method(method)][0]
+        literal = estimate(panel.without_unit(0), method).beta_hat
+        assert np.abs(f.loo[Method(method)][0] - literal).max() <= 1e-10 * np.abs(literal).max()
 
     def test_pooled_subsample_becomes_rank_deficient(self):
         # x2 is pure two-way structure everywhere but in u3
@@ -127,7 +139,8 @@ class TestErrorsMatchLiteralReestimation:
         y, x, _ = random_panel(3, 6, 3, 2)
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(TooFewPeriods, match="unit 'u1' removed"):
-            loo_estimates(panel, [Method.TW_POOLED, Method.TW_MG], None)
+            methods = [Method.TW_POOLED, Method.TW_MG]
+            fit(panel, methods).check(methods)
 
     def test_negative_ridge_shift_is_refused_like_the_estimator(self):
         panel = PanelData.from_arrays(*random_panel(8, 6, 5, 1)[:2])
@@ -161,14 +174,13 @@ class TestWeakUnit:
     @pytest.mark.parametrize("method", ["tw-mg", "mg"])
     def test_only_its_own_subsample_is_reestimated(self, rcond, method):
         panel = weak_unit_panel(rcond)
-        _, flagged = leave_one_out(double_demean(panel), method)
-        assert np.flatnonzero(flagged).tolist() == [8]
+        assert np.flatnonzero(reestimated(panel, method)).tolist() == [8]
         assert_same_outcome(panel, method, rel=1e-8)
 
     @pytest.mark.parametrize("method", ["tw-mg", "mg"])
     def test_unit_below_the_threshold_still_fails(self, method):
         panel = weak_unit_panel(3e-11)
-        assert leave_one_out(double_demean(panel), method)[1].all()
+        assert reestimated(panel, method).all()
         want = assert_same_outcome(panel, method)
         assert want[0] is RankDeficient and want[2] == ("u9",)
         assert "unit 'u1' removed" in want[1]
@@ -186,8 +198,8 @@ def capacitance_solves(monkeypatch, dp, kappa):
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "solve", spy)
-        flagged = loo_two_way(dp, kappa)[1]
-    return flagged, sum(rows)
+        flags = loo_two_way(TwoWayFactor(dp, kappa))[1]
+    return flags, sum(rows)
 
 
 def shared_capacitance_eigenvalues(dp, kappa):
@@ -200,10 +212,10 @@ def shared_capacitance_eigenvalues(dp, kappa):
 
 
 def assert_matches_batched_capacitance(dp, kappa):
-    values, flagged = loo_two_way(dp, kappa)
+    values, flags = loo_two_way(TwoWayFactor(dp, kappa))
     want, want_flagged = batched_capacitance_loo(dp, kappa)
-    assert np.array_equal(flagged, want_flagged)
-    keep = ~flagged
+    assert np.array_equal(flags, want_flagged)
+    keep = ~flags
     if keep.any():
         err = np.abs(values[keep] - want[keep]).max()
         assert err <= 1e-12 * max(1.0, np.abs(want[keep]).max())
@@ -342,6 +354,7 @@ class TestNoSubpanelIsRebuilt:
     def test_poolability_test(self, panel, use_ridge):
         assert poolability_test(panel, use_ridge=use_ridge).joint_stat >= 0.0
 
-    def test_recomputed_ridge_shift_reestimates_literally(self, panel):
-        with pytest.raises(AssertionError, match="subpanel rebuilt"):
+    def test_no_ridge_shift_recomputed_per_subsample(self, panel):
+        # the one policy that re-estimated every subsample literally is gone
+        with pytest.raises(TypeError, match="kappa_policy"):
             jackknife(panel, "tw-mg-ridge", kappa_policy="recomputed")

@@ -23,7 +23,7 @@ from panelmg import (
     run_monte_carlo,
     simulate_dgp,
 )
-import panelmg.simulation as simulation_module
+import panelmg.inference as inference
 from panelmg.errors import SingularSystem
 from panelmg.simulation import AR_BURN_IN, _aggregate_cell, _derive_seed
 
@@ -353,20 +353,21 @@ class TestInferenceFailures:
     def run_with_failing(self, monkeypatch, failing):
         """The cells when every replication flags ``failing``'s leave-one-out
         subsamples and re-estimating them raises."""
-        real_leave_one_out = simulation_module.leave_one_out
-        real_loo_estimates = simulation_module.loo_estimates
+        real_fit_stack = inference.fit_stack
+        real_estimate = inference.estimate
 
-        def leave_one_out(dp, method, kappa=None):
-            values, flagged = real_leave_one_out(dp, method, kappa)
-            return values, flagged | (Method(method) is Method(failing))
+        def fit_stack(dp, methods, kappa=None, loo=()):
+            slopes, shift, values, flagged = real_fit_stack(dp, methods, kappa, loo)
+            flagged[Method(failing)] = flagged[Method(failing)] | True
+            return slopes, shift, values, flagged
 
-        def loo_estimates(panel, methods, kappa):
-            if Method(failing) in methods:
+        def estimate(panel, method, kappa=None):
+            if Method(method) is Method(failing):
                 raise SingularSystem(f"{failing} fails here")
-            return real_loo_estimates(panel, methods, kappa)
+            return real_estimate(panel, method, kappa)
 
-        monkeypatch.setattr(simulation_module, "leave_one_out", leave_one_out)
-        monkeypatch.setattr(simulation_module, "loo_estimates", loo_estimates)
+        monkeypatch.setattr(inference, "fit_stack", fit_stack)
+        monkeypatch.setattr(inference, "estimate", estimate)
         return self.run()
 
     def test_pooled_loo_failure_keeps_coverage(self, monkeypatch):
