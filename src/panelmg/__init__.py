@@ -20,7 +20,6 @@ from .errors import (
     OutOfRange,
     PanelMgError,
     RankDeficient,
-    SingularBlock,
     SingularCapacitance,
     SingularOmegaDelta,
     SingularSystem,
@@ -106,7 +105,6 @@ __all__ = [
     "TooSmall",
     "MalformedInput",
     "EstimationError",
-    "SingularBlock",
     "SingularCapacitance",
     "RankDeficient",
     "TooFewPeriods",

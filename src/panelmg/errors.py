@@ -42,17 +42,6 @@ class EstimationError(PanelMgError):
     """Base class for numeric failures in estimation and inference."""
 
 
-class SingularBlock(EstimationError):
-    """One or more per-unit Gram blocks fail the condition threshold.
-
-    ``units`` holds the offending unit labels.
-    """
-
-    def __init__(self, message: str, units: Sequence[str] = ()):
-        super().__init__(message)
-        self.units = tuple(units)
-
-
 class SingularCapacitance(EstimationError):
     """The cross-section coupling matrix of the structured solve is singular."""
 

@@ -11,6 +11,11 @@ four estimators on it:
   (classic two-way fixed effects).
 * ``mg``: per-unit OLS of y on x and an intercept, no time effects, averaged
   across units. Included as the benchmark the two-way variants improve on.
+
+Every estimator runs through ``fit_stack``, on one panel or a stack, and
+never raises there: a panel that fails a check gets NaN slopes and a record
+of why. ``raise_failure`` turns one panel's record into the error
+``estimate`` raises, and it is the only place an estimator error is made.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RankDeficient, SingularBlock, SingularCapacitance, SingularSystem, TooFewPeriods
+from .errors import OutOfRange, RankDeficient, SingularCapacitance, SingularSystem, TooFewPeriods
 from .gram import (
     DEFAULT_RANK_TOLERANCE,
     SCREEN_TOLERANCE,
@@ -78,16 +83,6 @@ class SlopeEstimates:
         return self.beta_hat.shape[0]
 
 
-def _require_enough_periods(dp: DemeanedPanel) -> None:
-    # T = K + 1 would leave zero residual degrees of freedom per unit after
-    # the within-time projection, so it is refused as well.
-    if dp.n_periods <= dp.n_regressors + 1:
-        raise TooFewPeriods(
-            f"need T > K + 1 periods per unit, got T={dp.n_periods} "
-            f"with K={dp.n_regressors}"
-        )
-
-
 def _unit_gram(dp: DemeanedPanel) -> np.ndarray:
     """The per-unit Gram matrices xdd_i' xdd_i (..., N, K, K) of the
     double-demeaned regressors, which the ridge shift and tw-pooled share."""
@@ -122,42 +117,26 @@ def compute_ridge_kappa(panel: PanelData) -> float:
 
 
 LooValues = tuple[np.ndarray, np.ndarray] | None
+Why = dict[str, np.ndarray]
 
 
 def _two_way(
-    dp: DemeanedPanel,
-    method: Method,
-    kappa: float | np.ndarray,
-    unit_labels: Sequence[str] | None,
-    loo: bool,
-) -> tuple[np.ndarray, LooValues]:
-    """Per-unit slopes of tw-mg (``kappa`` 0) or tw-mg-ridge and, with
-    ``loo``, their leave-one-out values and flags, read from one factor.
-
-    Unlike the plain estimator the ridge one tolerates T as small as 2,
-    because the shift keeps every per-unit block invertible whenever
-    kappa > 0.
-    """
-    if method is Method.TW_MG:
-        _require_enough_periods(dp)
+    dp: DemeanedPanel, kappa: float | np.ndarray, loo: bool
+) -> tuple[np.ndarray, LooValues, Why]:
+    """Per-unit slopes of tw-mg (``kappa`` 0) or tw-mg-ridge, with ``loo``
+    their leave-one-out values and flags, read from one factor, and why
+    each panel fails: the block check's ``scale`` and ``bad`` units and the
+    ``capacitance`` flag."""
     f = TwoWayFactor(dp, kappa)
-    try:
-        slopes = two_way_slopes(f, unit_labels)
-    except (SingularBlock, SingularCapacitance) as exc:
-        if method is Method.TW_MG_RIDGE:
-            msg = f"system is singular even with ridge shift kappa={kappa:g}: {exc}"
-            raise SingularSystem(msg) from exc
-        if isinstance(exc, SingularCapacitance):
-            raise
-        raise RankDeficient(f"per-unit design is rank deficient: {exc}", units=exc.units) from exc
-    return slopes, loo_two_way(f) if loo else None
+    slopes, capacitance = two_way_slopes(f)
+    why = {"scale": f.scale, "bad": f.bad, "capacitance": capacitance}
+    return slopes, loo_two_way(f) if loo else None, why
 
 
-def _tw_pooled(
-    dp: DemeanedPanel, gram: np.ndarray, unit_labels: Sequence[str] | None, loo: bool
-) -> tuple[np.ndarray, LooValues]:
+def _tw_pooled(dp: DemeanedPanel, gram: np.ndarray, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
     """Pooled two-way fixed effects slopes (..., K) on the double-demeaned
-    data and, with ``loo``, the pooled slopes on every (N-1)-unit subsample.
+    data, with ``loo`` the pooled slopes on every (N-1)-unit subsample, and
+    the (...) ``rank`` flag of the panels whose pooled design fails.
 
     Both are read from the per-unit sums G_i = xdd_i' xdd_i (``gram``) and
     g_i = xdd_i' ydd_i. With period sums S_x, S_y of the full-sample
@@ -182,15 +161,10 @@ def _tw_pooled(
     scale = np.where(within_scale > hi, within_scale, hi)  # max() as Python takes it
     with np.errstate(divide="ignore", invalid="ignore"):
         failed = (scale <= 0.0) | (lo / scale < DEFAULT_RANK_TOLERANCE)
-    if unit_labels is not None and failed:
-        raise RankDeficient(
-            "pooled design is rank deficient after double demeaning",
-            units=tuple(unit_labels),
-        )
     slopes = sym_solve(a, b, failed)
     slopes[failed] = np.nan
     if not loo:
-        return slopes, None
+        return slopes, None, {"rank": failed}
     sx = xdd.sum(axis=-3, keepdims=True) - xdd
     sy = ydd.sum(axis=-2, keepdims=True) - ydd
     a = a[..., None, :, :] - gram - sx.swapaxes(-1, -2) @ sx / (n - 1)
@@ -199,57 +173,80 @@ def _tw_pooled(
     scale = np.maximum(hi, (within.sum(axis=-1, keepdims=True) - within) / k)
     flagged = ~((scale > 0.0) & (lo >= SCREEN_TOLERANCE * scale))
     a[flagged] = np.eye(k)
-    return slopes, (np.linalg.solve(a, b[..., None])[..., 0], flagged)
+    return slopes, (np.linalg.solve(a, b[..., None])[..., 0], flagged), {"rank": failed}
 
 
-def _standard_mg(
-    dp: DemeanedPanel, unit_labels: Sequence[str] | None, loo: bool
-) -> tuple[np.ndarray, LooValues]:
-    """Per-unit slopes without time effects (per-unit OLS with intercept)
-    and, with ``loo``, the mean-group estimate on every (N-1)-unit subsample.
+def _standard_mg(dp: DemeanedPanel, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
+    """Per-unit slopes without time effects (per-unit OLS with intercept),
+    with ``loo`` the mean-group estimate on every (N-1)-unit subsample, and
+    the block check's ``scale`` and ``bad`` units.
 
     Per-unit slopes do not couple across units, so deleting unit j leaves
     (sum_i b_i - b_j) / (N-1) of the full-sample slopes.
     """
-    _require_enough_periods(dp)
     xu = dp.x_unit_dm
     blocks = UnitBlocks(xu.swapaxes(-1, -2) @ xu)
-    blocks.check(
-        unit_labels,
-        RankDeficient,
-        "no within-unit regressor variation anywhere in the panel",
-        "per-unit OLS design is rank deficient for unit(s) {}",
-    )
     rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
     slopes = np.einsum("...nkl,...nl->...nk", blocks.inverse, rhs)
     full = np.where(blocks.failed[..., None, None], np.nan, slopes)
+    why = {"scale": blocks.scale, "bad": blocks.bad}
     if not loo:
-        return full, None
+        return full, None, why
     values = (slopes.sum(axis=-2, keepdims=True) - slopes) / (dp.n_units - 1)
     # a flagged value depends on how its panel was stacked; it is not used
-    return full, (np.where(blocks.flagged[..., None], 0.0, values), blocks.flagged)
+    return full, (np.where(blocks.flagged[..., None], 0.0, values), blocks.flagged), why
 
 
-def _slopes(
-    dp: DemeanedPanel,
-    method: Method,
-    kappa: float | np.ndarray | None,
-    unit_labels: Sequence[str] | None,
-    loo: bool = False,
-    gram: np.ndarray | None = None,
-) -> tuple[np.ndarray, LooValues]:
-    """Per-unit slopes (..., N, K), or pooled slopes (..., K), and with
-    ``loo`` the leave-one-out values and flags read from the same per-unit
-    pieces (None without). ``kappa`` is the ridge shift and ``gram`` the
-    ``_unit_gram`` of ``dp`` if it is built. With ``unit_labels`` (one
-    panel) a failing check raises as ``estimate`` documents; without, a
-    failing panel's slopes are NaN.
+def raise_failure(panel: PanelData, method: Method, why: Why, kappa: float | None) -> None:
+    """Raise the error ``estimate`` raises for ``method`` on ``panel``, one
+    panel whose failure record from ``fit_stack`` is ``why``; return if the
+    record holds no failure. ``kappa`` is the ridge shift as given, or the
+    data-driven one.
+
+    The checks are read in the order the estimator meets them: the number
+    of periods, the shift, the blocks, then the capacitance.
     """
-    if method is Method.TW_POOLED:
-        return _tw_pooled(dp, _unit_gram(dp) if gram is None else gram, unit_labels, loo)
+    labels = panel.unit_labels
+    if why.get("periods"):
+        t, k = panel.x.shape[-2:]
+        raise TooFewPeriods(f"need T > K + 1 periods per unit, got T={t} with K={k}")
+    if why.get("shift"):
+        raise OutOfRange(f"kappa must be nonnegative and finite, got {kappa}")
+    if why.get("rank"):
+        raise RankDeficient("pooled design is rank deficient after double demeaning", units=labels)
+    if "scale" not in why:
+        return
+    none = why["scale"] <= 0.0
+    units = labels if none else tuple(labels[i] for i in np.flatnonzero(why["bad"]))
+    names = ", ".join(repr(u) for u in units)
     if method is Method.STANDARD_MG:
-        return _standard_mg(dp, unit_labels, loo)
-    return _two_way(dp, method, 0.0 if method is Method.TW_MG else kappa, unit_labels, loo)
+        if none:
+            raise RankDeficient("no within-unit regressor variation anywhere in the panel", units=units)
+        if units:
+            raise RankDeficient(f"per-unit OLS design is rank deficient for unit(s) {names}", units=units)
+        return
+    if none:
+        msg = (
+            "every diagonal block is numerically zero; the regressors carry "
+            "no within-unit variation (consider the ridge estimator)"
+        )
+    elif units:
+        msg = (
+            f"diagonal block(s) for unit(s) {names} fail the condition threshold "
+            f"{DEFAULT_RANK_TOLERANCE:g} (consider the ridge estimator)"
+        )
+    elif why["capacitance"]:
+        msg = (
+            "the cross-section coupling matrix is numerically singular; the "
+            "double-demeaned regressors do not span all slope directions"
+        )
+    else:
+        return
+    if method is Method.TW_MG_RIDGE:
+        raise SingularSystem(f"system is singular even with ridge shift kappa={kappa:g}: {msg}")
+    if not units:
+        raise SingularCapacitance(msg)
+    raise RankDeficient(f"per-unit design is rank deficient: {msg}", units=units)
 
 
 def estimate(
@@ -262,16 +259,16 @@ def estimate(
     ``kappa`` is honoured only by the ridge estimator; None there means the
     data-driven shift of ``compute_ridge_kappa``, and a negative or
     non-finite shift raises OutOfRange. Mean-group estimates are the
-    average of the per-unit slopes.
+    average of the per-unit slopes. A failing check raises the error of
+    ``raise_failure``.
     """
     method = Method(method)
-    dp = double_demean(panel)
-    if method is Method.TW_MG_RIDGE and kappa is None:
-        kappa = _ridge_kappa(dp, _unit_gram(dp))
-    slopes, _ = _slopes(dp, method, kappa, panel.unit_labels)
+    slopes, why, shift, _, _ = fit_stack(double_demean(panel), [method], kappa)
+    raise_failure(panel, method, why[method], shift if kappa is None else kappa)
+    slopes = slopes[method]
     if method is Method.TW_POOLED:
         return SlopeEstimates(method, slopes, unit_slopes=None)
-    kappa_used = float(kappa) if method is Method.TW_MG_RIDGE else None
+    kappa_used = float(shift) if method is Method.TW_MG_RIDGE else None
     return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)
 
 
@@ -280,42 +277,56 @@ def fit_stack(
     methods: Sequence[Method],
     kappa: float | None = None,
     loo: Sequence[Method] = (),
-) -> tuple[dict, np.ndarray | None, dict, dict]:
+) -> tuple[dict, dict, np.ndarray | None, dict, dict]:
     """``estimate`` of ``methods`` on every panel of a stack of demeaned
     panels (...) and, for those in ``loo``, on every (N-1)-unit subsample,
     read from one set of per-unit pieces per method, each dropped before the
     next is built. Every value is the one of that panel alone, bit for bit.
 
-    Returns the slopes of ``_slopes`` per method, NaN where ``estimate``
-    would raise; tw-mg-ridge's shift (...), ``kappa`` or the data-driven one;
-    and per method in ``loo`` the leave-one-out values (..., N, K) and the
-    (..., N) mask of subsamples to re-estimate literally: those whose checks land
+    Returns per method the per-unit slopes (..., N, K), or tw-pooled's
+    (..., K), NaN where ``estimate`` would raise, and the record of why,
+    which ``raise_failure`` reads for one panel: ``periods`` (...) for
+    T <= K + 1 (tw-mg and mg; the ridge shift keeps every block invertible,
+    so tw-mg-ridge tolerates T as small as 2); ``shift`` (...) for a ridge
+    shift that is negative or not finite; the block check's ``scale`` (...)
+    and ``bad`` units (..., N) (two-way and mg); the ``capacitance`` flag
+    (...) (two-way); and tw-pooled's ``rank`` flag (...). It also returns
+    tw-mg-ridge's shift (...), ``kappa`` or the data-driven one; and per
+    method in ``loo`` the leave-one-out values (..., N, K) and the (..., N)
+    mask of subsamples to re-estimate literally: those whose checks land
     within a margin (``gram.SCREEN_TOLERANCE``) of their thresholds or whose
     values are not finite, and all for N < 3, for T <= K + 1 where the
-    estimator refuses it, or for a shift that is not finite. Flagged values
-    are 0; the rest agree with re-estimation to rounding error.
+    estimator refuses it, or for a shift that fails. Flagged values are 0;
+    the rest agree with re-estimation to rounding error.
     """
     n, t, k = dp.n_units, dp.n_periods, dp.n_regressors
     batch = dp.y_dd.shape[:-2]
-    gram = _unit_gram(dp) if {Method.TW_MG_RIDGE, Method.TW_POOLED} & set(methods) else None
-    slopes, shift, values, flagged = {}, None, {}, {}
+    need_gram = Method.TW_POOLED in methods or (Method.TW_MG_RIDGE in methods and kappa is None)
+    gram = _unit_gram(dp) if need_gram else None
+    slopes, why, shift, values, flagged = {}, {}, None, {}, {}
     for m in methods:
         usable, want = np.full(batch, n >= 3), m in loo and n >= 3
+        # T = K + 1 would leave zero residual degrees of freedom per unit
+        # after the within-time projection, so it is refused as well.
         if m in (Method.TW_MG, Method.STANDARD_MG) and t <= k + 1:
+            why[m] = {"periods": np.ones(batch, dtype=bool)}
             slopes[m], pair = np.full((*batch, n, k), np.nan), None
-        elif m is Method.TW_MG_RIDGE:
-            shift = _ridge_kappa(dp, gram) if kappa is None else np.asarray(kappa, dtype=float)
-            # a shift that is not finite makes estimate raise OutOfRange; a
-            # negative one raises it here
-            finite = np.isfinite(shift)
-            usable &= finite
-            slopes[m], pair = _slopes(dp, m, np.where(finite, shift, 0.0), None, want)
-            slopes[m][~finite] = np.nan
+        elif m is Method.TW_POOLED:
+            slopes[m], pair, why[m] = _tw_pooled(dp, gram, want)
+        elif m is Method.STANDARD_MG:
+            slopes[m], pair, why[m] = _standard_mg(dp, want)
+        elif m is Method.TW_MG:
+            slopes[m], pair, why[m] = _two_way(dp, 0.0, want)
         else:
-            slopes[m], pair = _slopes(dp, m, None, None, want, gram)
+            shift = _ridge_kappa(dp, gram) if kappa is None else np.asarray(kappa, dtype=float)
+            bad = ~((0.0 <= shift) & (shift < np.inf))
+            usable &= ~bad
+            slopes[m], pair, why[m] = _two_way(dp, np.where(bad, 0.0, shift), want)
+            slopes[m][bad] = np.nan
+            why[m]["shift"] = bad
         if m in loo:
             if pair is None:
                 pair = np.zeros((*batch, n, k)), np.ones((*batch, n), dtype=bool)
             flags = pair[1] | ~usable[..., None] | ~np.isfinite(pair[0]).all(axis=-1)
             values[m], flagged[m] = np.where(flags[..., None], 0.0, pair[0]), flags
-    return slopes, shift, values, flagged
+    return slopes, why, shift, values, flagged

@@ -26,11 +26,16 @@ instead of O((N K)^3); the NK x NK matrix is never assembled.
 Both solves read one ``TwoWayFactor`` per panel (or stack) and shift: the
 shifted blocks with their eigenvalue bounds and check (``UnitBlocks``) and,
 built when first read, A_i, A_i y_i, sum M_i and sum M_i y_i.
-``two_way_slopes`` checks the blocks and solves the full sample. Deleting
-one unit leaves every other A_i and M_i as it is and changes only sums over
-units, so ``loo_two_way`` solves all N leave-one-out subsamples at once by
+``two_way_slopes`` solves the full sample. Deleting one unit leaves every
+other A_i and M_i as it is and changes only sums over units, so
+``loo_two_way`` solves all N leave-one-out subsamples at once by
 subtracting one unit's term from each full-sample sum; only it builds the
 screen of the blocks, D and H_j below.
+
+No function here raises on a failed check. Each returns, next to its
+values, the masks of the panels or subsamples that fail: the block check's
+``scale`` and ``bad`` units, the capacitance flag, the leave-one-out flags.
+``estimators`` turns them into errors.
 
 Subsample j's capacitance is then cap_j = D + c M_j, with c = 1/((N-1) T)
 and one shared T x T matrix D = I_T - c sum_i M_i: a rank-K update, as
@@ -53,11 +58,9 @@ stacked result equals the single-panel ones bit for bit.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, SingularBlock, SingularCapacitance
 from .panel import DemeanedPanel
 
 __all__ = ["two_way_slopes", "loo_two_way"]
@@ -69,10 +72,8 @@ DEFAULT_RANK_TOLERANCE = 1e-10
 # condition 1e-6): the deleted unit's term is subtracted from the full-sample
 # sums and the capacitance is solved, so both cost accuracy as they weaken.
 # A kept block enters the downdated sums as it enters the literal fit, so it
-# clears the literal threshold by KEPT_BLOCK_MARGIN, which absorbs only the
-# rounding between the screen and the literal check.
+# is held to the literal check itself.
 SCREEN_TOLERANCE = 1e4 * DEFAULT_RANK_TOLERANCE
-KEPT_BLOCK_MARGIN = 10.0
 
 
 def _max_without_each(values: np.ndarray) -> np.ndarray:
@@ -167,36 +168,25 @@ class UnitBlocks:
             self.bad = self.lo / self.scale[..., None] < DEFAULT_RANK_TOLERANCE
         self.failed = (self.scale <= 0.0) | self.bad.any(axis=-1)
 
-    def check(self, unit_labels: Sequence[str] | None, error: type, none: str, weak: str) -> None:
-        """With ``unit_labels`` (one panel), raise ``error`` if the check
-        fails: ``none`` naming every unit if no eigenvalue is positive, else
-        ``weak`` formatted with the units of the bad blocks, naming them."""
-        if unit_labels is None or not self.failed:
-            return
-        if self.scale <= 0.0:
-            raise error(none, units=tuple(unit_labels))
-        labels = tuple(unit_labels[int(i)] for i in np.flatnonzero(self.bad))
-        raise error(weak.format(", ".join(repr(l) for l in labels)), units=labels)
-
     @cached_property
     def flagged(self) -> np.ndarray:
-        """The (..., N) subsamples whose block check may fail or nearly fail.
+        """The (..., N) subsamples whose block check fails or nearly fails.
 
-        Deleting unit j leaves every other block as it is, so subsample j's
-        reference scale is the largest block eigenvalue among the other
-        units, and its smallest kept eigenvalue the smallest among them. The
-        deleted unit's own block is held to ``SCREEN_TOLERANCE`` times that
-        scale, as its inverse is subtracted from the full-sample sums; the
-        kept blocks to ``KEPT_BLOCK_MARGIN`` times the literal threshold. So
-        one weak but valid unit flags only its own subsample.
+        Deleting unit j leaves every other block as it is, bit for bit, so
+        subsample j's reference scale is the largest block eigenvalue among
+        the other units, and its smallest kept eigenvalue the smallest among
+        them. The deleted unit's own block is held to ``SCREEN_TOLERANCE``
+        times that scale, as its inverse is subtracted from the full-sample
+        sums. The kept blocks take the literal check of the subsample: as
+        division by the scale is monotone in floating point, the smallest
+        kept eigenvalue fails it exactly when some kept block does. So one
+        weak but valid unit flags only its own subsample.
         """
         scale = _max_without_each(self.hi)
         kept_lo = -_max_without_each(-self.lo)
-        return ~(
-            (scale > 0.0)
-            & (self.lo >= SCREEN_TOLERANCE * scale)
-            & (kept_lo >= KEPT_BLOCK_MARGIN * DEFAULT_RANK_TOLERANCE * scale)
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kept_bad = kept_lo / scale < DEFAULT_RANK_TOLERANCE
+        return ~((scale > 0.0) & (self.lo >= SCREEN_TOLERANCE * scale) & ~kept_bad)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -213,10 +203,9 @@ class UnitBlocks:
 
 class TwoWayFactor(UnitBlocks):
     """The two-way system of a demeaned panel or stack ``dp`` with ridge
-    shift ``kappa`` (one, or one per panel): the blocks q_i + kappa I as
-    ``UnitBlocks``, and its ``pieces``, built when first read.
-
-    Raises OutOfRange if ``kappa`` is negative or not finite.
+    shift ``kappa`` (one, or one per panel; nonnegative and finite): the
+    blocks q_i + kappa I as ``UnitBlocks``, and its ``pieces``, built when
+    first read.
     """
 
     def __init__(self, dp: DemeanedPanel, kappa: float | np.ndarray) -> None:
@@ -242,8 +231,6 @@ def _shifted_blocks(xu: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
     """The per-unit blocks q_i + kappa I of unit-demeaned regressors
     (..., N, T, K); ``kappa`` is one shift, or one per panel (...)."""
     shift = np.asarray(kappa, dtype=np.float64)
-    if not np.all((0.0 <= shift) & (shift < np.inf)):
-        raise OutOfRange(f"kappa must be nonnegative and finite, got {kappa}")
     t, k = xu.shape[-2:]
     blocks = xu.swapaxes(-1, -2) @ xu / t
     # x + -0.0 is x for every x, so a zero shift leaves a panel's blocks bit
@@ -252,26 +239,17 @@ def _shifted_blocks(xu: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
     return blocks + shift[..., None, None, None] * np.eye(k)
 
 
-def two_way_slopes(f: TwoWayFactor, unit_labels: Sequence[str] | None = None) -> np.ndarray:
+def two_way_slopes(f: TwoWayFactor) -> tuple[np.ndarray, np.ndarray]:
     """Per-unit slopes (..., N, K) of the two-way system of the factor ``f``,
-    solved as the module docstring derives.
+    solved as the module docstring derives, and the (...) capacitance flag.
 
-    Without ``unit_labels`` no check raises and a failing panel's slopes are
-    NaN. With them (one panel), a shifted diagonal block that fails the
-    check of ``UnitBlocks`` raises SingularBlock, naming the offending
-    units, and a T x T capacitance matrix that fails the same threshold
-    raises SingularCapacitance: the coupled system is singular even though
-    every block is fine.
+    A panel fails if its shifted diagonal blocks fail the check of
+    ``UnitBlocks`` (``f.failed``), or if its T x T capacitance matrix fails
+    the same threshold: then the coupled system is singular even though
+    every block is fine, and the flag is set. A failing panel's slopes are
+    NaN.
     """
     *batch, n, t, _ = f.dp.x_unit_dm.shape
-    f.check(
-        unit_labels,
-        SingularBlock,
-        "every diagonal block is numerically zero; the regressors carry "
-        "no within-unit variation (consider the ridge estimator)",
-        "diagonal block(s) for unit(s) {} fail the condition threshold "
-        f"{DEFAULT_RANK_TOLERANCE:g} (consider the ridge estimator)",
-    )
     _, a, ay, sum_m, sum_my = f.pieces
     cap = np.eye(t) - sum_m / (n * t)
     # a failed panel's capacitance is not read; it becomes the identity
@@ -280,16 +258,11 @@ def two_way_slopes(f: TwoWayFactor, unit_labels: Sequence[str] | None = None) ->
     cap_lo, cap_hi = ev[..., 0], ev[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         cap_failed = (cap_hi <= 0.0) | (cap_lo / cap_hi < DEFAULT_RANK_TOLERANCE)
-    if unit_labels is not None and cap_failed:
-        raise SingularCapacitance(
-            "the cross-section coupling matrix is numerically singular; the "
-            "double-demeaned regressors do not span all slope directions"
-        )
     failed = f.failed | cap_failed
     w = sym_solve(cap, sum_my / (n * t * t), failed)
     slopes = ay / t + (a @ w[..., None, :, None])[..., 0]
     slopes[failed] = np.nan
-    return slopes
+    return slopes, cap_failed
 
 
 def loo_two_way(f: TwoWayFactor) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from .errors import (
     SingularOmegaDelta,
     TooSmall,
 )
-from .estimators import Method, SlopeEstimates, estimate, fit_stack
+from .estimators import Method, SlopeEstimates, estimate, fit_stack, raise_failure
 from .panel import PanelData, double_demean
 
 __all__ = [
@@ -227,9 +227,11 @@ class Fit:
     """Estimators fitted by ``fit`` to one panel or a stack of panels (...).
 
     ``beta`` holds each estimator's estimates (..., K), NaN where
-    ``estimate`` would raise on that panel, and ``unit_slopes`` its per-unit
-    slopes (..., N, K), None for tw-pooled; ``kappa`` is tw-mg-ridge's shift
-    (...). ``loo`` and ``flagged`` hold the leave-one-out estimates and the
+    ``estimate`` would raise on that panel, ``why`` the record of
+    ``estimators.fit_stack`` that says why, and ``unit_slopes`` the per-unit
+    slopes (..., N, K), None for tw-pooled; ``kappa`` is tw-mg-ridge's shift:
+    the one given to ``fit``, or each panel's data-driven one (...).
+    ``loo`` and ``flagged`` hold the leave-one-out estimates and the
     subsamples re-estimated literally, ``has`` the (...) panels where every
     re-estimation succeeded, and ``failures`` each estimator's first failing
     one per panel, as (panel index, method, error), in the order a loop over
@@ -238,8 +240,9 @@ class Fit:
 
     panel: PanelData
     beta: dict[Method, np.ndarray]
+    why: dict[Method, dict[str, np.ndarray]]
     unit_slopes: dict[Method, np.ndarray | None]
-    kappa: np.ndarray | None
+    kappa: float | np.ndarray | None
     loo: dict[Method, np.ndarray]
     flagged: dict[Method, np.ndarray]
     has: dict[Method, np.ndarray]
@@ -249,11 +252,10 @@ class Fit:
         return float(self.kappa) if method is Method.TW_MG_RIDGE else None
 
     def estimate(self, method: Method) -> SlopeEstimates:
-        """The estimates of ``method`` on the one panel; where they are not
-        finite, the public estimator runs again to raise its error."""
+        """The estimates of ``method`` on the one panel, or the error
+        ``estimate`` raises there."""
+        raise_failure(self.panel, method, self.why[method], self.kappa)
         kappa = self.kappa_used(method)
-        if not np.isfinite(self.beta[method]).all():
-            return estimate(self.panel, method, kappa)
         return SlopeEstimates(method, self.beta[method], self.unit_slopes[method], kappa)
 
     def check(self, methods: Sequence[Method]) -> None:
@@ -306,7 +308,7 @@ def fit(
     """
     methods = [Method(m) for m in methods]
     loo = methods if loo is None else loo
-    slopes, shift, values, flagged = fit_stack(double_demean(panel), methods, kappa, loo)
+    slopes, why, shift, values, flagged = fit_stack(double_demean(panel), methods, kappa, loo)
     failures = []
     batch = panel.y.shape[:-2]
     has = {m: np.ones(batch, dtype=bool) for m in loo}
@@ -318,7 +320,9 @@ def fit(
             for m in loo:
                 if not (has[m][r] and flagged[m][r + (i,)]):
                     continue
-                kappa_r = float(shift[r]) if m is Method.TW_MG_RIDGE else None
+                kappa_r = None
+                if m is Method.TW_MG_RIDGE:
+                    kappa_r = float(shift[r]) if kappa is None else kappa
                 try:
                     sub = sub or one.without_unit(int(i))
                     values[m][r + (i,)] = estimate(sub, m, kappa=kappa_r).beta_hat
@@ -329,7 +333,8 @@ def fit(
                     failures.append((r, m, exc))
     beta = {m: s if m is Method.TW_POOLED else s.mean(axis=-2) for m, s in slopes.items()}
     unit_slopes = {m: None if m is Method.TW_POOLED else s for m, s in slopes.items()}
-    return Fit(panel, beta, unit_slopes, shift, values, flagged, has, failures)
+    shift = shift if kappa is None else kappa
+    return Fit(panel, beta, why, unit_slopes, shift, values, flagged, has, failures)
 
 
 def jackknife(

@@ -48,7 +48,6 @@ PUBLIC = [
     "TooSmall",
     "MalformedInput",
     "EstimationError",
-    "SingularBlock",
     "SingularCapacitance",
     "RankDeficient",
     "TooFewPeriods",

@@ -66,9 +66,10 @@ def assert_each_panel(stacked, single):
             assert np.array_equal(g[r], w, equal_nan=True), r
 
 
-def outputs(slopes, pair):
-    """A full-sample kernel's slopes and leave-one-out values and flags, as one list."""
-    return [slopes, *pair]
+def outputs(slopes, pair, why):
+    """A full-sample kernel's slopes, leave-one-out values and flags and
+    failure record, as one list."""
+    return [slopes, *pair, *why.values()]
 
 
 def failures(f, r):
@@ -92,15 +93,15 @@ def test_kernels_are_bit_identical_across_batch_shapes(data):
     for shift in (np.zeros(len(y)), kappa):
         f = TwoWayFactor(dp, shift)
         single = [TwoWayFactor(d, shift[r]) for r, d in enumerate(alone)]
-        assert_each_panel(lambda: [two_way_slopes(f)], [[two_way_slopes(g)] for g in single])
+        assert_each_panel(lambda: two_way_slopes(f), [two_way_slopes(g) for g in single])
         assert_each_panel(lambda: loo_two_way(f), [loo_two_way(g) for g in single])
     assert_each_panel(
-        lambda: outputs(*_tw_pooled(dp, gram, None, True)),
-        [outputs(*_tw_pooled(d, _unit_gram(d), None, True)) for d in alone],
+        lambda: outputs(*_tw_pooled(dp, gram, True)),
+        [outputs(*_tw_pooled(d, _unit_gram(d), True)) for d in alone],
     )
     assert_each_panel(
-        lambda: outputs(*_standard_mg(dp, None, True)),
-        [outputs(*_standard_mg(d, None, True)) for d in alone],
+        lambda: outputs(*_standard_mg(dp, True)),
+        [outputs(*_standard_mg(d, True)) for d in alone],
     )
 
     # one fit of the stack is the fit of each panel alone, literal

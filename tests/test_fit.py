@@ -12,7 +12,15 @@ import pytest
 import panelmg.estimators as estimators
 import panelmg.gram as gram
 import panelmg.inference as inference
-from panelmg import Method, PanelData, compute_ridge_kappa, estimate, jackknife, run_monte_carlo
+from panelmg import (
+    Method,
+    PanelData,
+    RankDeficient,
+    compute_ridge_kappa,
+    estimate,
+    jackknife,
+    run_monte_carlo,
+)
 from panelmg.cli import main
 from panelmg.inference import fit, omega_from_loo
 from panelmg.panel import double_demean
@@ -97,6 +105,26 @@ def test_one_block_build_per_stack_and_shift(monkeypatch):
     # ridge shift and tw-pooled share the per-unit Gram matrices, and no
     # subsample is re-estimated literally here
     assert counts == {"double_demean": 1, "_shifted_blocks": 2, "_unit_gram": 1}
+
+
+def test_a_failing_estimate_is_raised_from_the_fit(monkeypatch):
+    y, x, _ = random_panel(20, 5, 5, 1)
+    x[2, :, 0] = 4.2  # u3 fails the block check
+    panel = PanelData.from_arrays(y, x)
+    runs = [
+        (lambda: estimate(panel, "tw-mg"), 1),
+        (lambda: fit(panel, ["tw-mg"]).estimate(Method.TW_MG), 2),
+    ]
+    for run, demeanings in runs:
+        counts = {}
+        for module in (estimators, inference):
+            counting(monkeypatch, module, "double_demean", counts)
+        counting(monkeypatch, estimators, "TwoWayFactor", counts)
+        with pytest.raises(RankDeficient):
+            run()
+        # the fit's one literal re-estimation is its first subsample's
+        assert counts == {"double_demean": demeanings, "TwoWayFactor": demeanings}
+        monkeypatch.undo()
 
 
 def test_each_shift_is_dropped_before_the_next_is_built(monkeypatch):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from panelmg import OutOfRange, PanelData, SingularBlock, SingularCapacitance, double_demean
+from panelmg import (
+    OutOfRange,
+    PanelData,
+    RankDeficient,
+    SingularCapacitance,
+    double_demean,
+    estimate,
+)
 from panelmg.gram import TwoWayFactor, sym_eig_bounds, sym_inv, sym_solve, two_way_slopes
 from oracles import dense_gram, random_panel
 
@@ -25,10 +32,10 @@ def dense_slopes(dp, kappa=0.0):
 
 class TestAssembly:
     def test_negative_kappa_rejected(self):
-        panel, dp = demeaned()
+        panel, _ = demeaned()
         for kappa in (-1e-9, np.nan, np.inf):
             with pytest.raises(OutOfRange, match="kappa must be nonnegative"):
-                two_way_slopes(TwoWayFactor(dp, kappa), panel.unit_labels)
+                estimate(panel, "tw-mg-ridge", kappa)
 
 
 class TestSolve:
@@ -45,7 +52,7 @@ class TestSolve:
                         panel = PanelData.from_arrays(y, scale * x)
                         dp = double_demean(panel)
                         for kappa in (0.0, 0.05, 0.1):
-                            got = two_way_slopes(TwoWayFactor(dp, kappa), panel.unit_labels)
+                            got = two_way_slopes(TwoWayFactor(dp, kappa))[0]
                             want = dense_slopes(dp, kappa)
                             assert np.all(
                                 np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))
@@ -54,7 +61,7 @@ class TestSolve:
     def test_solve_with_ridge_matches_dense(self):
         panel, dp = demeaned(seed=7, n=6, t=4, k=2)
         np.testing.assert_allclose(
-            two_way_slopes(TwoWayFactor(dp, 0.05), panel.unit_labels),
+            two_way_slopes(TwoWayFactor(dp, 0.05))[0],
             dense_slopes(dp, 0.05),
             atol=1e-10,
         )
@@ -65,8 +72,8 @@ class TestSingularity:
         y, x, _ = random_panel(20, 5, 5, 1)
         x[2, :, 0] = 4.2  # no within variation for the third unit
         panel = PanelData.from_arrays(y, x)
-        with pytest.raises(SingularBlock, match="'u3'") as info:
-            two_way_slopes(TwoWayFactor(double_demean(panel), 0.0), panel.unit_labels)
+        with pytest.raises(RankDeficient, match="'u3'") as info:
+            estimate(panel, "tw-mg")
         assert info.value.units == ("u3",)
         assert "ridge" in str(info.value)
 
@@ -74,8 +81,8 @@ class TestSingularity:
         y = np.random.default_rng(0).normal(size=(4, 5))
         x = np.tile(np.arange(1.0, 5.0)[:, None, None], (1, 5, 1))
         panel = PanelData.from_arrays(y, x)
-        with pytest.raises(SingularBlock) as info:
-            two_way_slopes(TwoWayFactor(double_demean(panel), 0.0), panel.unit_labels)
+        with pytest.raises(RankDeficient) as info:
+            estimate(panel, "tw-mg")
         assert info.value.units == panel.unit_labels
 
     def test_cross_section_collinearity_hits_capacitance(self):
@@ -89,17 +96,16 @@ class TestSingularity:
         y = rng.normal(size=(4, 6))
         panel = PanelData.from_arrays(y, x)
         with pytest.raises(SingularCapacitance):
-            two_way_slopes(TwoWayFactor(double_demean(panel), 0.0), panel.unit_labels)
+            estimate(panel, "tw-mg")
 
     def test_ridge_shift_rescues_capacitance(self):
         rng = np.random.default_rng(22)
         w = rng.normal(size=6)
         g = np.array([1.0, 2.0, -1.5, 0.5])
         panel = PanelData.from_arrays(rng.normal(size=(4, 6)), np.outer(g, w)[:, :, None])
-        dp = double_demean(panel)
         np.testing.assert_allclose(
-            two_way_slopes(TwoWayFactor(dp, 0.1), panel.unit_labels),
-            dense_slopes(dp, 0.1),
+            estimate(panel, "tw-mg-ridge", 0.1).unit_slopes,
+            dense_slopes(double_demean(panel), 0.1),
             atol=1e-10,
         )
 

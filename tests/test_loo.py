@@ -170,7 +170,7 @@ def weak_unit_panel(rcond):
 class TestWeakUnit:
     """One weak but valid unit flags only its own subsample."""
 
-    @pytest.mark.parametrize("rcond", [2e-9, 1e-8, 1e-7, 5e-7])
+    @pytest.mark.parametrize("rcond", [2e-10, 5e-10, 9e-10, 2e-9, 1e-8, 1e-7, 5e-7])
     @pytest.mark.parametrize("method", ["tw-mg", "mg"])
     def test_only_its_own_subsample_is_reestimated(self, rcond, method):
         panel = weak_unit_panel(rcond)

@@ -357,9 +357,9 @@ class TestInferenceFailures:
         real_estimate = inference.estimate
 
         def fit_stack(dp, methods, kappa=None, loo=()):
-            slopes, shift, values, flagged = real_fit_stack(dp, methods, kappa, loo)
+            slopes, why, shift, values, flagged = real_fit_stack(dp, methods, kappa, loo)
             flagged[Method(failing)] = flagged[Method(failing)] | True
-            return slopes, shift, values, flagged
+            return slopes, why, shift, values, flagged
 
         def estimate(panel, method, kappa=None):
             if Method(method) is Method(failing):
