@@ -1,7 +1,7 @@
 """Slope estimators for heterogeneous panels with two-way fixed effects.
 
-``estimate(panel, method, kappa)`` demeans the panel once and runs one of
-four estimators on it:
+``estimate(panel, method, kappa)`` runs one of four estimators on the
+panel's demeaning, computed once per panel (``PanelData.demeaned``):
 
 * ``tw-mg``: per-unit least-squares slopes after the two-way projection,
   averaged across units (the mean-group estimator).
@@ -33,11 +33,14 @@ from .gram import (
     TwoWayFactor,
     UnitBlocks,
     loo_two_way,
+    positive_finite,
+    sym_det,
     sym_eig_bounds,
+    sym_inv,
     sym_solve,
     two_way_slopes,
 )
-from .panel import DemeanedPanel, PanelData, double_demean
+from .panel import DemeanedPanel, PanelData
 
 __all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa"]
 
@@ -92,15 +95,7 @@ def _unit_gram(dp: DemeanedPanel) -> np.ndarray:
 def _ridge_kappa(dp: DemeanedPanel, gram: np.ndarray) -> np.ndarray:
     """The shift of ``compute_ridge_kappa`` for each panel (...), from the
     per-unit Gram matrices ``gram`` of ``_unit_gram``."""
-    m = gram / dp.n_periods
-    k = m.shape[-1]
-    if k == 1:
-        dets = m[..., 0, 0]
-    elif k == 2:
-        dets = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] ** 2
-    else:
-        dets = np.linalg.det(m)
-    c_kappa = np.median(dets, axis=-1)
+    c_kappa = np.median(sym_det(gram / dp.n_periods), axis=-1)
     # max(c_kappa, 0.0) as Python takes it, so a NaN stays NaN
     return np.where(0.0 > c_kappa, 0.0, c_kappa) / dp.n_units
 
@@ -112,7 +107,7 @@ def compute_ridge_kappa(panel: PanelData) -> float:
     double-demeaned regressors; the median over units (midpoint average for
     even N) is divided by N so the shift vanishes as the cross-section grows.
     """
-    dp = double_demean(panel)
+    dp = panel.demeaned
     return float(_ridge_kappa(dp, _unit_gram(dp)))
 
 
@@ -125,18 +120,24 @@ def _two_way(
 ) -> tuple[np.ndarray, LooValues, Why]:
     """Per-unit slopes of tw-mg (``kappa`` 0) or tw-mg-ridge, with ``loo``
     their leave-one-out values and flags, read from one factor, and why
-    each panel fails: the block check's ``scale`` and ``bad`` units and the
-    ``capacitance`` flag."""
+    each panel fails: the block check's ``overflow``, ``scale`` and ``bad``
+    units and the ``capacitance`` flag."""
     f = TwoWayFactor(dp, kappa)
     slopes, capacitance = two_way_slopes(f)
-    why = {"scale": f.scale, "bad": f.bad, "capacitance": capacitance}
+    why = {
+        "overflow": ~np.isfinite(f.scale),
+        "scale": f.scale,
+        "bad": f.bad,
+        "capacitance": capacitance,
+    }
     return slopes, loo_two_way(f) if loo else None, why
 
 
 def _tw_pooled(dp: DemeanedPanel, gram: np.ndarray, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
     """Pooled two-way fixed effects slopes (..., K) on the double-demeaned
     data, with ``loo`` the pooled slopes on every (N-1)-unit subsample, and
-    the (...) ``rank`` flag of the panels whose pooled design fails.
+    the (...) ``overflow`` and ``rank`` flags of the panels whose pooled
+    design is not finite or fails.
 
     Both are read from the per-unit sums G_i = xdd_i' xdd_i (``gram``) and
     g_i = xdd_i' ydd_i. With period sums S_x, S_y of the full-sample
@@ -154,32 +155,38 @@ def _tw_pooled(dp: DemeanedPanel, gram: np.ndarray, loo: bool) -> tuple[np.ndarr
     within = np.einsum("...ntk,...ntk->...n", xu, xu)
     a = gram.sum(axis=-3)
     b = gy.sum(axis=-2)
-    lo, hi = sym_eig_bounds(a)
     # Compare against the unit-demeaned scale too, so a regressor absorbed
     # entirely by the two-way effects is flagged instead of solved.
     within_scale = within.sum(axis=-1) / k
+    lo, hi = sym_eig_bounds(a, DEFAULT_RANK_TOLERANCE, within_scale)
     scale = np.where(within_scale > hi, within_scale, hi)  # max() as Python takes it
     with np.errstate(divide="ignore", invalid="ignore"):
-        failed = (scale <= 0.0) | (lo / scale < DEFAULT_RANK_TOLERANCE)
+        failed = ~positive_finite(scale) | (lo / scale < DEFAULT_RANK_TOLERANCE)
+    why = {"overflow": ~np.isfinite(scale), "rank": failed}
     slopes = sym_solve(a, b, failed)
     slopes[failed] = np.nan
     if not loo:
-        return slopes, None, {"rank": failed}
+        return slopes, None, why
     sx = xdd.sum(axis=-3, keepdims=True) - xdd
     sy = ydd.sum(axis=-2, keepdims=True) - ydd
     a = a[..., None, :, :] - gram - sx.swapaxes(-1, -2) @ sx / (n - 1)
     b = b[..., None, :] - gy - np.einsum("...ntk,...nt->...nk", sx, sy) / (n - 1)
-    lo, hi = sym_eig_bounds(a)
-    scale = np.maximum(hi, (within.sum(axis=-1, keepdims=True) - within) / k)
-    flagged = ~((scale > 0.0) & (lo >= SCREEN_TOLERANCE * scale))
+    within_scale = (within.sum(axis=-1, keepdims=True) - within) / k
+    lo, hi = sym_eig_bounds(a, SCREEN_TOLERANCE, within_scale)
+    scale = np.maximum(hi, within_scale)
+    flagged = ~(positive_finite(scale) & (lo >= SCREEN_TOLERANCE * scale))
     a[flagged] = np.eye(k)
-    return slopes, (np.linalg.solve(a, b[..., None])[..., 0], flagged), {"rank": failed}
+    if k == 3:  # no batched LAPACK solve over all N; K <= 2 keep their bits
+        values = (sym_inv(a) @ b[..., None])[..., 0]
+    else:
+        values = np.linalg.solve(a, b[..., None])[..., 0]
+    return slopes, (values, flagged), why
 
 
 def _standard_mg(dp: DemeanedPanel, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
     """Per-unit slopes without time effects (per-unit OLS with intercept),
     with ``loo`` the mean-group estimate on every (N-1)-unit subsample, and
-    the block check's ``scale`` and ``bad`` units.
+    the block check's ``overflow``, ``scale`` and ``bad`` units.
 
     Per-unit slopes do not couple across units, so deleting unit j leaves
     (sum_i b_i - b_j) / (N-1) of the full-sample slopes.
@@ -189,7 +196,7 @@ def _standard_mg(dp: DemeanedPanel, loo: bool) -> tuple[np.ndarray, LooValues, W
     rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
     slopes = np.einsum("...nkl,...nl->...nk", blocks.inverse, rhs)
     full = np.where(blocks.failed[..., None, None], np.nan, slopes)
-    why = {"scale": blocks.scale, "bad": blocks.bad}
+    why = {"overflow": ~np.isfinite(blocks.scale), "scale": blocks.scale, "bad": blocks.bad}
     if not loo:
         return full, None, why
     values = (slopes.sum(axis=-2, keepdims=True) - slopes) / (dp.n_units - 1)
@@ -204,12 +211,18 @@ def raise_failure(panel: PanelData, method: Method, why: Why, kappa: float | Non
     data-driven one.
 
     The checks are read in the order the estimator meets them: the number
-    of periods, the shift, the blocks, then the capacitance.
+    of periods, Gram matrices that overflow (which also make a data-driven
+    shift infinite), the shift, the blocks, then the capacitance.
     """
     labels = panel.unit_labels
     if why.get("periods"):
         t, k = panel.x.shape[-2:]
         raise TooFewPeriods(f"need T > K + 1 periods per unit, got T={t} with K={k}")
+    if why.get("overflow"):
+        raise RankDeficient(
+            "the regressors' cross products overflow (are not finite); rescale the regressors",
+            units=labels,
+        )
     if why.get("shift"):
         raise OutOfRange(f"kappa must be nonnegative and finite, got {kappa}")
     if why.get("rank"):
@@ -263,7 +276,7 @@ def estimate(
     ``raise_failure``.
     """
     method = Method(method)
-    slopes, why, shift, _, _ = fit_stack(double_demean(panel), [method], kappa)
+    slopes, why, shift, _, _ = fit_stack(panel.demeaned, [method], kappa)
     raise_failure(panel, method, why[method], shift if kappa is None else kappa)
     slopes = slopes[method]
     if method is Method.TW_POOLED:
@@ -272,6 +285,8 @@ def estimate(
     return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)
 
 
+# Gram matrices that overflow are a failure the records report, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_stack(
     dp: DemeanedPanel,
     methods: Sequence[Method],
@@ -287,10 +302,11 @@ def fit_stack(
     (..., K), NaN where ``estimate`` would raise, and the record of why,
     which ``raise_failure`` reads for one panel: ``periods`` (...) for
     T <= K + 1 (tw-mg and mg; the ridge shift keeps every block invertible,
-    so tw-mg-ridge tolerates T as small as 2); ``shift`` (...) for a ridge
-    shift that is negative or not finite; the block check's ``scale`` (...)
-    and ``bad`` units (..., N) (two-way and mg); the ``capacitance`` flag
-    (...) (two-way); and tw-pooled's ``rank`` flag (...). It also returns
+    so tw-mg-ridge tolerates T as small as 2); ``overflow`` (...) for Gram
+    matrices that are not finite; ``shift`` (...) for a ridge shift that is
+    negative or not finite; the block check's ``scale`` (...) and ``bad``
+    units (..., N) (two-way and mg); the ``capacitance`` flag (...)
+    (two-way); and tw-pooled's ``rank`` flag (...). It also returns
     tw-mg-ridge's shift (...), ``kappa`` or the data-driven one; and per
     method in ``loo`` the leave-one-out values (..., N, K) and the (..., N)
     mask of subsamples to re-estimate literally: those whose checks land

@@ -34,8 +34,9 @@ screen of the blocks, D and H_j below.
 
 No function here raises on a failed check. Each returns, next to its
 values, the masks of the panels or subsamples that fail: the block check's
-``scale`` and ``bad`` units, the capacitance flag, the leave-one-out flags.
-``estimators`` turns them into errors.
+``scale`` (which fails when it is not positive, or not finite because a
+Gram matrix overflowed) and ``bad`` units, the capacitance flag, the
+leave-one-out flags. ``estimators`` turns them into errors.
 
 Subsample j's capacitance is then cap_j = D + c M_j, with c = 1/((N-1) T)
 and one shared T x T matrix D = I_T - c sum_i M_i: a rank-K update, as
@@ -48,6 +49,21 @@ lambda_max(cap_j) <= lambda_max(D) + c tr(M_j). So one eigenvalue
 decomposition of D proves the capacitance check for every subsample it
 clears by that bound; only the rest have cap_j built and checked one by
 one.
+
+The per-unit K x K blocks are checked by their extreme eigenvalues and
+inverted in closed form for K <= 3, so no batched LAPACK call runs over all
+N blocks. For K = 3 the largest eigenvalue has Smith's (1961) trigonometric
+form, but the smallest, which decides the checks, is inaccurate for
+ill-conditioned blocks (Kopp 2008). So each check reads a certified lower
+bound on it, the determinant less its rounding error over the square of a
+certified upper bound on the largest, and hands ``eigvalsh`` only the
+blocks that bound does not clear by a factor two, plus each panel's
+candidates for its two largest eigenvalues: the panel scales are then
+``eigvalsh``'s bit for bit, and every check decides as it does on
+``eigvalsh``'s values. The inverse is the adjugate over the determinant
+with one symmetrized step of iterative refinement (Higham 2002, §14), and
+``np.linalg.inv`` for the few blocks whose determinant the expansion cannot
+resolve.
 
 Every function here also takes a stack of panels: arrays with leading batch
 axes (...) in front of the unit axis. Each panel of a stack goes through the
@@ -84,10 +100,99 @@ def _max_without_each(values: np.ndarray) -> np.ndarray:
     return np.where(values == first, second, first)
 
 
-def sym_eig_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of each symmetric K x K block.
+_UNIT_ROUNDOFF = 2.0**-53
+# Room the certified upper bound on a 3 x 3 block's largest eigenvalue
+# leaves, relative to the block's size, for its own rounding and for the
+# backward error of ``eigvalsh``; the absolute term covers underflow.
+_EIG_SLACK, _EIG_FLOOR = 2.0**-40, 2.0**-500
 
-    Closed forms for K <= 2 keep the hot path free of per-block LAPACK calls.
+
+def _entries3(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The diagonal a, b, c and the lower triangle d, e, f (rows 1 and 2) of
+    3 x 3 blocks: the symmetric matrices that ``eigvalsh`` reads."""
+    return (
+        blocks[..., 0, 0], blocks[..., 1, 1], blocks[..., 2, 2],
+        blocks[..., 1, 0], blocks[..., 2, 0], blocks[..., 2, 1],
+    )  # fmt: skip
+
+
+def _adjugate3(a, b, c, d, e, f) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The cofactors (C00, C11, C22, C01, C02, C12) of the symmetric 3 x 3
+    blocks [[a, d, e], [d, b, f], [e, f, c]] and their determinant,
+    expanded along the first row."""
+    cof = (b * c - f * f, a * c - e * e, a * b - d * d, e * f - d * c, d * f - b * e, d * e - a * f)
+    return cof, a * cof[0] + d * cof[3] + e * cof[4]
+
+
+def _abs_rows3(a, b, c, d, e, f) -> np.ndarray:
+    """The product of the absolute row sums of the symmetric 3 x 3 blocks
+    of ``_adjugate3``, which bounds the sum of the absolute terms of their
+    determinants' expansion."""
+    return (np.abs(a) + np.abs(d) + np.abs(e)) * (np.abs(d) + np.abs(b) + np.abs(f)) * (
+        np.abs(e) + np.abs(f) + np.abs(c)
+    )
+
+
+def _bounds3(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A certified lower bound ``lo`` on the smallest eigenvalue of each
+    symmetric 3 x 3 block, its largest eigenvalue ``hi`` in closed form and
+    a certified upper bound ``up`` on it, which also bounds ``eigvalsh``'s.
+
+    With q the mean of the diagonal and p^2 = ||B - q I||_F^2 / 6, the
+    eigenvalues are q + 2 p cos(phi + 2 pi j / 3), phi = acos(r) / 3 and
+    r = det(B - q I) / (2 p^3) (Smith 1961). The largest is accurate to
+    rounding; the smallest is not for ill-conditioned blocks (Kopp 2008), so
+    it is not taken. The eigenvalues' deviations from q sum to zero, so none
+    exceeds 2 p (phi = 0; Samuelson 1968), and ``up`` is q + 2 p with room
+    for rounding. Where the block is certified positive definite (its
+    leading minors are positive beyond their rounding error; Sylvester),
+    lambda_min = det / (lambda_mid lambda_max) >= det / up^2 with det less
+    its rounding error, a multiple of the unit roundoff times the product
+    of the absolute row sums (Higham 2002, §14.6); elsewhere ``lo`` is -inf.
+    """
+    a, b, c, d, e, f = _entries3(blocks)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cof, det = _adjugate3(a, b, c, d, e, f)
+        q = (a + b + c) / 3.0
+        aq, bq, cq = a - q, b - q, c - q
+        p = np.sqrt((aq * aq + bq * bq + cq * cq + 2.0 * (d * d + e * e + f * f)) / 6.0)
+        up = q + 2.0 * p
+        up += _EIG_SLACK * (np.abs(q) + 2.0 * p) + _EIG_FLOOR
+        r = (aq * (bq * cq - f * f) + d * (e * f - d * cq) + e * (d * f - bq * e)) / (2.0 * p**3)
+        hi = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+        # fmin drops the NaN of a block with p = 0, or p^3 underflowing
+        hi = np.fmin(hi, up)
+        low = det - 8.0 * _UNIT_ROUNDOFF * _abs_rows3(a, b, c, d, e, f)
+        low -= 2.0**-1070 * (1.0 + np.abs(a) + np.abs(d) + np.abs(e))
+        minor = 4.0 * _UNIT_ROUNDOFF * (np.abs(a * b) + d * d) + 2.0**-1070
+        pd = (a > 0.0) & (cof[2] > minor) & (low > 0.0)
+        lo = np.where(pd, low / (up * up), -np.inf)
+    return lo, hi, up
+
+
+def _refine(
+    blocks: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi`` with ``eigvalsh``'s values on the blocks under ``mask``."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if mask.any():
+        w = np.linalg.eigvalsh(blocks[mask])
+        lo[mask], hi[mask] = w[:, 0], w[:, -1]
+    return lo, hi
+
+
+def sym_eig_bounds(
+    blocks: np.ndarray, tol: float = 0.0, floor: float | np.ndarray = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each symmetric K x K block, for a
+    check lo >= tol * max(hi, floor).
+
+    Closed forms for K <= 2, ``eigvalsh`` for K >= 4. For K = 3, ``lo`` is a
+    certified lower bound and ``hi`` the closed-form largest eigenvalue
+    (``_bounds3``), and the blocks whose bound does not clear
+    2 tol max(up, floor) get ``eigvalsh``'s values. The others pass the
+    check with room for ``eigvalsh``'s rounding, so it decides every block
+    as on ``eigvalsh``'s values.
     """
     k = blocks.shape[-1]
     if k == 1:
@@ -100,12 +205,70 @@ def sym_eig_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         half_tr = 0.5 * (a + c)
         disc = np.sqrt(np.square(0.5 * (a - c)) + np.square(b))
         return half_tr - disc, half_tr + disc
-    w = np.linalg.eigvalsh(blocks)
-    return w[..., 0], w[..., -1]
+    if k != 3:
+        w = np.linalg.eigvalsh(blocks)
+        return w[..., 0], w[..., -1]
+    lo, hi, up = _bounds3(blocks)
+    return _refine(blocks, lo, hi, ~(lo >= 2.0 * tol * np.maximum(up, floor)))
+
+
+def _unit_eig_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sym_eig_bounds`` of per-unit blocks (..., N, K, K), N >= 2, for
+    ``UnitBlocks``, whose checks read each panel's two largest ``hi`` and
+    each ``lo`` against at most SCREEN_TOLERANCE times one of them.
+
+    For K = 3 the two blocks of a panel with the largest closed-form ``hi``
+    go to ``eigvalsh`` first. The smaller of their largest eigenvalues is a
+    floor under the panel's second-largest, so only blocks whose certified
+    upper bound reaches it can hold either of the two. Those, and the blocks
+    whose bound does not clear 2 SCREEN_TOLERANCE times the largest upper
+    bound, get ``eigvalsh``'s values: the panel scales are ``eigvalsh``'s
+    bit for bit.
+    """
+    if blocks.shape[-1] != 3:
+        return sym_eig_bounds(blocks)
+    lo, hi, up = _bounds3(blocks)
+    top = np.argpartition(hi, -2, axis=-1)[..., -2:]
+    w = np.linalg.eigvalsh(np.take_along_axis(blocks, top[..., None, None], axis=-3))
+    candidate = ~(up < w[..., -1].min(axis=-1, keepdims=True))
+    refine = candidate | ~(lo >= 2.0 * SCREEN_TOLERANCE * up.max(axis=-1, keepdims=True))
+    for values, got in ((refine, False), (lo, w[..., 0]), (hi, w[..., -1])):
+        np.put_along_axis(values, top, got, axis=-1)
+    return _refine(blocks, lo, hi, refine)
+
+
+def positive_finite(scale: np.ndarray) -> np.ndarray:
+    """Where a check's reference scale is usable: positive and finite. A
+    zero scale is a block that demeaning annihilated, an infinite or NaN one
+    a Gram matrix that overflowed."""
+    return (scale > 0.0) & (scale < np.inf)
+
+
+def sym_det(blocks: np.ndarray) -> np.ndarray:
+    """Determinant of each symmetric K x K block; closed forms for K <= 3."""
+    k = blocks.shape[-1]
+    if k == 1:
+        return blocks[..., 0, 0]
+    if k == 2:
+        return blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] ** 2
+    if k == 3:
+        return _adjugate3(*_entries3(blocks))[1]
+    return np.linalg.det(blocks)
 
 
 def sym_inv(blocks: np.ndarray) -> np.ndarray:
-    """Invert a batch of symmetric positive definite K x K blocks."""
+    """Invert a batch of symmetric positive definite K x K blocks.
+
+    Closed forms for K <= 2, ``np.linalg.inv`` for K >= 4. For K = 3, the
+    adjugate over the determinant, then one step of iterative refinement
+    X + X (I - B X) (Higham 2002, §14) with the correction symmetrized: an
+    inverse that is not symmetric makes the M_i of the two-way system lose
+    symmetry, an error the capacitance solve amplifies. The expanded
+    determinant is accurate to the unit roundoff times the product of the
+    absolute row sums, relatively about cond^2 u for a block with two small
+    eigenvalues, too coarse for one refinement step; blocks whose
+    determinant is below 2^-20 of that product go to ``np.linalg.inv``.
+    """
     k = blocks.shape[-1]
     if k == 1:
         return 1.0 / blocks
@@ -120,7 +283,20 @@ def sym_inv(blocks: np.ndarray) -> np.ndarray:
         out[..., 1, 0] = -b / det
         out[..., 1, 1] = a / det
         return out
-    return np.linalg.inv(blocks)
+    if k != 3:
+        return np.linalg.inv(blocks)
+    entries = _entries3(blocks)
+    (c00, c11, c22, c01, c02, c12), det = _adjugate3(*entries)
+    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = adj.reshape(blocks.shape) / det[..., None, None]
+        step = x @ (np.eye(3) - blocks @ x)
+        x += 0.5 * (step + step.swapaxes(-1, -2))
+        weak = ~(np.abs(det) >= 2.0**-20 * _abs_rows3(*entries))
+    if weak.any():
+        inv = np.linalg.inv(blocks[weak])
+        x[weak] = 0.5 * (inv + inv.swapaxes(-1, -2))
+    return x
 
 
 def sym_solve(a: np.ndarray, b: np.ndarray, skip: np.ndarray) -> np.ndarray:
@@ -156,17 +332,19 @@ class UnitBlocks:
     The check's ``scale`` (...) is the largest eigenvalue over a panel's
     blocks, 0 if none is positive. A block is ``bad`` below
     ``DEFAULT_RANK_TOLERANCE`` times that scale, and a panel ``failed`` if
-    its scale is not positive or some block is bad; the panel-wide scale is
-    what detects a block that demeaning annihilated entirely.
+    its scale is not positive and finite or some block is bad; the
+    panel-wide scale is what detects a block that demeaning annihilated
+    entirely, or a Gram matrix that overflowed. For K = 3, ``lo`` and ``hi``
+    are ``eigvalsh``'s only where the checks need them (``_unit_eig_bounds``).
     """
 
     def __init__(self, blocks: np.ndarray) -> None:
         self.blocks = blocks
-        self.lo, self.hi = sym_eig_bounds(blocks)
+        self.lo, self.hi = _unit_eig_bounds(blocks)
         self.scale = np.max(self.hi, axis=-1, initial=0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.bad = self.lo / self.scale[..., None] < DEFAULT_RANK_TOLERANCE
-        self.failed = (self.scale <= 0.0) | self.bad.any(axis=-1)
+        self.failed = ~positive_finite(self.scale) | self.bad.any(axis=-1)
 
     @cached_property
     def flagged(self) -> np.ndarray:
@@ -186,7 +364,7 @@ class UnitBlocks:
         kept_lo = -_max_without_each(-self.lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             kept_bad = kept_lo / scale < DEFAULT_RANK_TOLERANCE
-        return ~((scale > 0.0) & (self.lo >= SCREEN_TOLERANCE * scale) & ~kept_bad)
+        return ~(positive_finite(scale) & (self.lo >= SCREEN_TOLERANCE * scale) & ~kept_bad)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -342,7 +520,7 @@ def loo_two_way(f: TwoWayFactor) -> tuple[np.ndarray, np.ndarray]:
         d_inv = (vec / lam[..., None, :]) @ vec.swapaxes(-1, -2)
         d_inv_x = (xt.reshape(*batch, -1, t) @ d_inv).reshape(xt.shape)  # (D^{-1} xdot_j)'
         h = f.blocks + c * (d_inv_x @ xu)
-        h_lo, h_hi = sym_eig_bounds(h)
+        h_lo, h_hi = sym_eig_bounds(h, SCREEN_TOLERANCE)
         cleared &= (h_lo > 0.0) & (h_lo >= SCREEN_TOLERANCE * h_hi)
         h[~cleared] = np.eye(k)
         h_inv = sym_inv(h)

@@ -295,8 +295,9 @@ def fit(
     loo: Sequence[Method] | None = None,
 ) -> Fit:
     """Fit ``methods`` to ``panel``, a PanelData or a stack of panels (``y``
-    (..., N, T) and ``x`` (..., N, T, K)), from one demeaning, with
-    leave-one-out estimates for those in ``loo`` (default: all).
+    (..., N, T) and ``x`` (..., N, T, K)), from one demeaning (a PanelData's
+    own, shared with ``estimate``), with leave-one-out estimates for those
+    in ``loo`` (default: all).
 
     ``kappa`` is the ridge shift held on the full sample and every
     subsample, None for each panel's data-driven one. The subsamples
@@ -308,7 +309,8 @@ def fit(
     """
     methods = [Method(m) for m in methods]
     loo = methods if loo is None else loo
-    slopes, why, shift, values, flagged = fit_stack(double_demean(panel), methods, kappa, loo)
+    dp = panel.demeaned if isinstance(panel, PanelData) else double_demean(panel)
+    slopes, why, shift, values, flagged = fit_stack(dp, methods, kappa, loo)
     failures = []
     batch = panel.y.shape[:-2]
     has = {m: np.ones(batch, dtype=bool) for m in loo}

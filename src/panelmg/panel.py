@@ -17,6 +17,7 @@ from __future__ import annotations
 import codecs
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +61,10 @@ class PanelData:
         Distinct labels for rows and columns.
 
     Instances are immutable: the arrays are private copies marked read-only,
-    so a panel can be shared freely across threads or subsamples.
+    so a panel can be shared freely across threads or subsamples. Its
+    ``demeaned`` arrays are computed on first use and kept; they are
+    read-only too, so every estimate, ridge shift and fit of one panel reads
+    one demeaning.
     """
 
     y: np.ndarray
@@ -112,6 +116,11 @@ class PanelData:
                 f"non-finite x{k + 1} at unit '{self.unit_labels[i]}', "
                 f"time '{self.time_labels[t_bad]}'"
             )
+
+    @cached_property
+    def demeaned(self) -> "DemeanedPanel":
+        """``double_demean`` of this panel, computed once."""
+        return double_demean(self)
 
     @property
     def n_units(self) -> int:

@@ -111,6 +111,27 @@ def random_panel(
     return y, x, beta
 
 
+def lapack_eig_bounds(blocks, tol=0.0, floor=0.0):
+    """Smallest and largest eigenvalue of every symmetric block by one
+    batched ``eigvalsh``: what the block checks read for K = 3 before the
+    closed forms, in the signature of ``gram.sym_eig_bounds`` (``tol`` and
+    ``floor`` are not needed)."""
+    w = np.linalg.eigvalsh(blocks)
+    return w[..., 0], w[..., -1]
+
+
+def lapack_checks(monkeypatch):
+    """Make every block check of the package read ``lapack_eig_bounds``:
+    the per-unit blocks, H_j of the two-way leave-one-out and tw-pooled's
+    designs."""
+    import panelmg.estimators as estimators
+    import panelmg.gram as gram
+
+    monkeypatch.setattr(gram, "_unit_eig_bounds", lapack_eig_bounds)
+    monkeypatch.setattr(gram, "sym_eig_bounds", lapack_eig_bounds)
+    monkeypatch.setattr(estimators, "sym_eig_bounds", lapack_eig_bounds)
+
+
 def literal_loo(panel, method, kappa=None):
     """Leave-one-out estimates by rebuilding and re-estimating every subpanel.
 

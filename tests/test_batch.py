@@ -57,6 +57,14 @@ def stacks(draw):
     return y, x
 
 
+def weak_k3_stack():
+    """Three K = 3 panels; in the second, unit 3's third regressor nearly
+    copies its first, so its block is refined by ``eigvalsh``."""
+    y, x = stack_of(9, 3, n=5, t=6, k=3)
+    x[1, 2, :, 2] = x[1, 2, :, 0] * (1.0 + 1e-4 * np.arange(6))
+    return y, x
+
+
 def assert_each_panel(stacked, single):
     """Each output of ``stacked()`` holds, panel by panel, the outputs in
     ``single`` computed on each panel alone."""
@@ -81,6 +89,9 @@ def failures(f, r):
 @given(stacks())
 @example(stack_of(5, 3, n=3, t=6, k=4, x_exp=8, y_exp=-8))
 @example(stack_of(6, 2, n=3, t=3, k=1, x_exp=-8, y_exp=8))
+@example(stack_of(7, 3, n=6, t=5, k=3, x_exp=8, y_exp=-8))
+@example(stack_of(8, 4, n=4, t=6, k=3, x_exp=-8, y_exp=0))
+@example(weak_k3_stack())
 def test_kernels_are_bit_identical_across_batch_shapes(data):
     y, x = data
     dp = double_demean(SimpleNamespace(y=y, x=x))

@@ -46,6 +46,11 @@ def too_few_periods():
     return random_panel(3, 8, 3, 2)[:2]
 
 
+def overflowed():
+    y, x, _ = random_panel(12, 6, 5, 1)
+    return y, x * 1e160  # finite, but every cross product of x overflows
+
+
 BLOCK_U3 = (
     "diagonal block(s) for unit(s) 'u3' fail the condition threshold 1e-10 "
     "(consider the ridge estimator)"
@@ -64,8 +69,11 @@ RIDGE = "system is singular even with ridge shift kappa=0: "
 OLS_U3 = "per-unit OLS design is rank deficient for unit(s) 'u3'"
 OLS_NONE = "no within-unit regressor variation anywhere in the panel"
 POOLED = "pooled design is rank deficient after double demeaning"
+OVERFLOW = "the regressors' cross products overflow (are not finite); rescale the regressors"
 ALL = ("u1", "u2", "u3", "u4")
 REST = ("u2", "u3", "u4")
+ALL6 = ("u1", "u2", "u3", "u4", "u5", "u6")
+REST6 = ALL6[1:]
 
 # panel, method, ridge shift, class, message, units, units of the jackknife
 ESTIMATE = [
@@ -80,6 +88,11 @@ ESTIMATE = [
     (coupled, "tw-mg-ridge", 0.0, SingularSystem, RIDGE + COUPLING, (), ()),
     (too_few_periods, "tw-mg", None, TooFewPeriods, FEW, (), ()),
     (too_few_periods, "mg", None, TooFewPeriods, FEW, (), ()),
+    (overflowed, "tw-mg", None, RankDeficient, OVERFLOW, ALL6, REST6),
+    (overflowed, "tw-mg-ridge", None, RankDeficient, OVERFLOW, ALL6, REST6),
+    (overflowed, "tw-mg-ridge", 0.05, RankDeficient, OVERFLOW, ALL6, REST6),
+    (overflowed, "tw-pooled", None, RankDeficient, OVERFLOW, ALL6, REST6),
+    (overflowed, "mg", None, RankDeficient, OVERFLOW, ALL6, REST6),
 ]
 
 # panel, use_ridge, class, message, units
@@ -89,6 +102,8 @@ POOLABILITY = [
     (all_blocks_zero, True, SingularSystem, RIDGE + NO_VARIATION, ()),
     (coupled, False, SingularCapacitance, COUPLING, ()),
     (too_few_periods, False, TooFewPeriods, FEW, ()),
+    (overflowed, False, RankDeficient, OVERFLOW, ALL6),
+    (overflowed, True, RankDeficient, OVERFLOW, ALL6),
 ]
 
 
@@ -129,6 +144,15 @@ def test_poolability(tmp_path, capsys, make, ridge, cls, msg, units):
     path = write_panel_csv(tmp_path / "panel.csv", y, x)
     argv = ["test", "--input", str(path)] + ["--ridge"] * ridge
     assert cli_error(capsys, argv) == (3, f"estimation error: {msg}\n")
+
+
+def test_overflow_fails_every_view_of_a_fit_of_all_methods():
+    # the shared fit of every method raises each one's error, not a bare
+    # ValueError from the pooled solve
+    panel = PanelData.from_arrays(*overflowed())
+    f = fit(panel, list(Method))
+    for m in Method:
+        assert raised(lambda: f.estimate(m)) == (RankDeficient, OVERFLOW, ALL6)
 
 
 @pytest.mark.parametrize(

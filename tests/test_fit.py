@@ -12,6 +12,7 @@ import pytest
 import panelmg.estimators as estimators
 import panelmg.gram as gram
 import panelmg.inference as inference
+import panelmg.panel as panel_module
 from panelmg import (
     Method,
     PanelData,
@@ -85,12 +86,48 @@ def counting(monkeypatch, owner, name, counts):
 def test_one_demeaning_per_command(monkeypatch, tmp_path, capsys, argv):
     path = tmp_path / "panel.csv"
     write_panel_csv(path, *random_panel(21, 30, 6, 2)[:2])
-    counts = {}
-    for module in (estimators, inference):
-        counting(monkeypatch, module, "double_demean", counts)
+    counts = counting_demeanings(monkeypatch)
     assert main(argv[:1] + ["--input", str(path)] + argv[1:]) == 0
     capsys.readouterr()
     assert counts == {"double_demean": 1}
+
+
+def counting_demeanings(monkeypatch):
+    """Count every demeaning: a PanelData's own (``PanelData.demeaned``)
+    and a stack's, which ``inference.fit`` demeans itself."""
+    counts = {}
+    for module in (panel_module, inference):
+        counting(monkeypatch, module, "double_demean", counts)
+    return counts
+
+
+def test_one_demeaning_per_panel(monkeypatch):
+    y, x, _ = random_panel(22, 20, 6, 3)
+    panel = PanelData.from_arrays(y, x)
+    counts = counting_demeanings(monkeypatch)
+    estimates = [estimate(panel, m) for m in Method]
+    compute_ridge_kappa(panel)
+    f = fit(panel, list(Method))
+    assert counts == {"double_demean": 1}
+    for m, est in zip(Method, estimates):
+        assert np.array_equal(f.beta[m], est.beta_hat)
+    assert panel.demeaned is panel.demeaned
+    assert not panel.demeaned.x_dd.flags.writeable
+
+
+def test_a_reestimated_subsample_is_demeaned_once(monkeypatch):
+    # u4's second regressor nearly copies its first, so its block clears the
+    # full-sample check but not the screen: subsample 4 is re-estimated
+    # literally, for both methods, from one rebuilt and demeaned subpanel
+    y, x, _ = random_panel(23, 12, 6, 2)
+    x[3, :, 1] = x[3, :, 0] + 3e-3 * np.random.default_rng(0).normal(size=6)
+    panel = PanelData.from_arrays(y, x)
+    counts = counting_demeanings(monkeypatch)
+    counting(monkeypatch, PanelData, "without_unit", counts)
+    f = fit(panel, [Method.TW_MG, Method.STANDARD_MG])
+    for m in (Method.TW_MG, Method.STANDARD_MG):
+        assert np.flatnonzero(f.flagged[m]).tolist() == [3]
+    assert counts == {"double_demean": 2, "without_unit": 1}
 
 
 def test_one_block_build_per_stack_and_shift(monkeypatch):
@@ -116,9 +153,9 @@ def test_a_failing_estimate_is_raised_from_the_fit(monkeypatch):
         (lambda: fit(panel, ["tw-mg"]).estimate(Method.TW_MG), 2),
     ]
     for run, demeanings in runs:
-        counts = {}
-        for module in (estimators, inference):
-            counting(monkeypatch, module, "double_demean", counts)
+        # a fresh panel, so that no demeaning is left from the run before
+        panel = PanelData.from_arrays(y, x)
+        counts = counting_demeanings(monkeypatch)
         counting(monkeypatch, estimators, "TwoWayFactor", counts)
         with pytest.raises(RankDeficient):
             run()

@@ -111,7 +111,7 @@ class TestSingularity:
 
 
 class TestSmallSymmetricKernels:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
     def test_eig_bounds_match_eigvalsh(self, k):
         rng = np.random.default_rng(k)
         a = rng.normal(size=(12, k, k))
@@ -120,6 +120,22 @@ class TestSmallSymmetricKernels:
         w = np.linalg.eigvalsh(blocks)
         np.testing.assert_allclose(lo, w[:, 0], atol=1e-10)
         np.testing.assert_allclose(hi, w[:, -1], atol=1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.1])
+    def test_eig_bounds_for_k3_bound_or_equal_eigvalsh(self, tol):
+        # for K = 3, lo bounds the smallest eigenvalue from below, and the
+        # blocks whose bound does not clear 2 tol max(hi) are eigvalsh's
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(12, 3, 3))
+        blocks = a @ a.transpose(0, 2, 1)
+        blocks[:4, 2] = blocks[:4, 1] = blocks[:4, 0]  # rank one
+        blocks[:4, :, 2] = blocks[:4, :, 1] = blocks[:4, :, 0]
+        lo, hi = sym_eig_bounds(blocks, tol)
+        w = np.linalg.eigvalsh(blocks)
+        assert (lo <= w[:, 0]).all()
+        refined = lo == w[:, 0]
+        assert refined[:4].all() and np.array_equal(hi[refined], w[refined, -1])
+        np.testing.assert_allclose(hi, w[:, -1], rtol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inverse_matches_numpy(self, k):

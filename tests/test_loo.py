@@ -24,7 +24,7 @@ from panelmg import (
     jackknife,
     poolability_test,
 )
-from panelmg.gram import TwoWayFactor, loo_two_way, sym_eig_bounds
+from panelmg.gram import TwoWayFactor, loo_two_way
 from panelmg.inference import fit
 from panelmg.panel import double_demean
 
@@ -148,18 +148,18 @@ class TestErrorsMatchLiteralReestimation:
             fast_loo(panel, "tw-mg-ridge", -1.0)
 
 
-def weak_unit_panel(rcond):
-    """400x10x2 panel whose unit u9 has x2 = x1 + noise, with the noise
+def weak_unit_panel(rcond, k=2):
+    """400x10xK panel whose unit u9 has x2 = x1 + noise, with the noise
     scaled so that u9's block has reciprocal condition ``rcond`` against the
     panel's largest block eigenvalue."""
-    y, x, _ = random_panel(7, 400, 10, 2)
+    y, x, _ = random_panel(7, 400, 10, k)
     noise = np.random.default_rng(1).normal(size=10)
 
     def condition(scale):
         x[8, :, 1] = x[8, :, 0] + scale * noise
         xu = x - x.mean(axis=1, keepdims=True)
-        lo, hi = sym_eig_bounds(np.einsum("ntk,ntl->nkl", xu, xu))
-        return lo[8] / hi.max()
+        w = np.linalg.eigvalsh(np.einsum("ntk,ntl->nkl", xu, xu))
+        return w[8, 0] / w[:, -1].max()
 
     # for small noise the condition grows with the square of its scale
     got = condition(1e-3 * np.sqrt(rcond / condition(1e-3)))
@@ -170,10 +170,14 @@ def weak_unit_panel(rcond):
 class TestWeakUnit:
     """One weak but valid unit flags only its own subsample."""
 
-    @pytest.mark.parametrize("rcond", [2e-10, 5e-10, 9e-10, 2e-9, 1e-8, 1e-7, 5e-7])
+    @pytest.mark.parametrize(
+        "rcond,k",
+        [pytest.param(r, 2, id=f"{r:g}") for r in (2e-10, 5e-10, 9e-10, 2e-9, 1e-8, 1e-7, 5e-7)]
+        + [pytest.param(r, 3, id=f"{r:g}-k3") for r in (2e-10, 1e-8, 5e-7)],
+    )
     @pytest.mark.parametrize("method", ["tw-mg", "mg"])
-    def test_only_its_own_subsample_is_reestimated(self, rcond, method):
-        panel = weak_unit_panel(rcond)
+    def test_only_its_own_subsample_is_reestimated(self, rcond, k, method):
+        panel = weak_unit_panel(rcond, k)
         assert np.flatnonzero(reestimated(panel, method)).tolist() == [8]
         assert_same_outcome(panel, method, rel=1e-8)
 
@@ -325,6 +329,7 @@ class TestRankKDowndate:
 @example(seed=2, n=3, k=2, extra_t=4, method="tw-mg-ridge", x_exp=-4, y_exp=4)
 @example(seed=3, n=3, k=3, extra_t=5, method="tw-pooled", x_exp=4, y_exp=4)
 @example(seed=4, n=3, k=1, extra_t=3, method="mg", x_exp=-4, y_exp=-4)
+@example(seed=79, n=3, k=3, extra_t=1, method="tw-mg-ridge", x_exp=0, y_exp=0)
 def test_matches_literal_on_random_designs(seed, n, k, extra_t, method, x_exp, y_exp):
     # Nearly square designs are ill-conditioned for both paths alike, so the
     # bound here is the 1e-8 agreement the oracles are held to.
