@@ -31,7 +31,6 @@ from .estimators import (
     Method,
     SlopeEstimates,
     compute_ridge_kappa,
-    estimate,
 )
 from .inference import (
     ConfidenceInterval,
@@ -40,6 +39,7 @@ from .inference import (
     PoolabilityReport,
     chi_square_upper_tail,
     confidence_interval,
+    estimate,
     holm_adjust,
     jackknife,
     normal_quantile_upper,

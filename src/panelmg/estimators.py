@@ -1,7 +1,8 @@
 """Slope estimators for heterogeneous panels with two-way fixed effects.
 
-``estimate(panel, method, kappa)`` runs one of four estimators on the
-panel's demeaning, computed once per panel (``PanelData.demeaned``):
+``fit_stack`` runs four estimators on a demeaned panel or stack, reading
+every per-unit cross product from the Gram matrices the demeaning caches
+(``DemeanedPanel.unit_gram`` and ``pooled_gram``):
 
 * ``tw-mg``: per-unit least-squares slopes after the two-way projection,
   averaged across units (the mean-group estimator).
@@ -12,10 +13,10 @@ panel's demeaning, computed once per panel (``PanelData.demeaned``):
 * ``mg``: per-unit OLS of y on x and an intercept, no time effects, averaged
   across units. Included as the benchmark the two-way variants improve on.
 
-Every estimator runs through ``fit_stack``, on one panel or a stack, and
-never raises there: a panel that fails a check gets NaN slopes and a record
-of why. ``raise_failure`` turns one panel's record into the error
-``estimate`` raises, and it is the only place an estimator error is made.
+No estimator raises there: a panel that fails a check gets NaN slopes and
+a record of why. ``raise_failure`` turns one panel's record into the error
+the public ``estimate`` (``inference``) raises, and it is the only place an
+estimator error is made.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .gram import (
 )
 from .panel import DemeanedPanel, PanelData
 
-__all__ = ["Method", "SlopeEstimates", "estimate", "compute_ridge_kappa"]
+__all__ = ["Method", "SlopeEstimates", "compute_ridge_kappa"]
 
 
 class Method(str, Enum):
@@ -86,16 +87,9 @@ class SlopeEstimates:
         return self.beta_hat.shape[0]
 
 
-def _unit_gram(dp: DemeanedPanel) -> np.ndarray:
-    """The per-unit Gram matrices xdd_i' xdd_i (..., N, K, K) of the
-    double-demeaned regressors, which the ridge shift and tw-pooled share."""
-    return dp.x_dd.swapaxes(-1, -2) @ dp.x_dd
-
-
-def _ridge_kappa(dp: DemeanedPanel, gram: np.ndarray) -> np.ndarray:
-    """The shift of ``compute_ridge_kappa`` for each panel (...), from the
-    per-unit Gram matrices ``gram`` of ``_unit_gram``."""
-    c_kappa = np.median(sym_det(gram / dp.n_periods), axis=-1)
+def _ridge_kappa(dp: DemeanedPanel) -> np.ndarray:
+    """The shift of ``compute_ridge_kappa`` for each panel (...) of ``dp``."""
+    c_kappa = np.median(sym_det(dp.pooled_gram / dp.n_periods), axis=-1)
     # max(c_kappa, 0.0) as Python takes it, so a NaN stays NaN
     return np.where(0.0 > c_kappa, 0.0, c_kappa) / dp.n_units
 
@@ -107,8 +101,7 @@ def compute_ridge_kappa(panel: PanelData) -> float:
     double-demeaned regressors; the median over units (midpoint average for
     even N) is divided by N so the shift vanishes as the cross-section grows.
     """
-    dp = panel.demeaned
-    return float(_ridge_kappa(dp, _unit_gram(dp)))
+    return float(_ridge_kappa(panel.demeaned))
 
 
 LooValues = tuple[np.ndarray, np.ndarray] | None
@@ -133,14 +126,14 @@ def _two_way(
     return slopes, loo_two_way(f) if loo else None, why
 
 
-def _tw_pooled(dp: DemeanedPanel, gram: np.ndarray, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
+def _tw_pooled(dp: DemeanedPanel, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
     """Pooled two-way fixed effects slopes (..., K) on the double-demeaned
     data, with ``loo`` the pooled slopes on every (N-1)-unit subsample, and
     the (...) ``overflow`` and ``rank`` flags of the panels whose pooled
     design is not finite or fails.
 
-    Both are read from the per-unit sums G_i = xdd_i' xdd_i (``gram``) and
-    g_i = xdd_i' ydd_i. With period sums S_x, S_y of the full-sample
+    Both are read from the per-unit sums G_i = xdd_i' xdd_i (``pooled_gram``)
+    and g_i = xdd_i' ydd_i. With period sums S_x, S_y of the full-sample
     double-demeaned data, deleting unit j leaves the normal equations
 
         (G - G_j - s' s / (N-1)) b = g - g_j - s' (S_y - ydd_j) / (N-1),
@@ -149,10 +142,10 @@ def _tw_pooled(dp: DemeanedPanel, gram: np.ndarray, loo: bool) -> tuple[np.ndarr
     the full sample's period means. The rank check of the full sample runs on
     each downdated matrix; flagged subsamples get placeholder values.
     """
-    xdd, ydd, xu = dp.x_dd, dp.y_dd, dp.x_unit_dm
+    xdd, ydd, gram = dp.x_dd, dp.y_dd, dp.pooled_gram
     n, _, k = xdd.shape[-3:]
     gy = np.einsum("...ntk,...nt->...nk", xdd, ydd)
-    within = np.einsum("...ntk,...ntk->...n", xu, xu)
+    within = np.trace(dp.unit_gram, axis1=-2, axis2=-1)
     a = gram.sum(axis=-3)
     b = gy.sum(axis=-2)
     # Compare against the unit-demeaned scale too, so a regressor absorbed
@@ -176,11 +169,7 @@ def _tw_pooled(dp: DemeanedPanel, gram: np.ndarray, loo: bool) -> tuple[np.ndarr
     scale = np.maximum(hi, within_scale)
     flagged = ~(positive_finite(scale) & (lo >= SCREEN_TOLERANCE * scale))
     a[flagged] = np.eye(k)
-    if k == 3:  # no batched LAPACK solve over all N; K <= 2 keep their bits
-        values = (sym_inv(a) @ b[..., None])[..., 0]
-    else:
-        values = np.linalg.solve(a, b[..., None])[..., 0]
-    return slopes, (values, flagged), why
+    return slopes, ((sym_inv(a) @ b[..., None])[..., 0], flagged), why
 
 
 def _standard_mg(dp: DemeanedPanel, loo: bool) -> tuple[np.ndarray, LooValues, Why]:
@@ -191,9 +180,8 @@ def _standard_mg(dp: DemeanedPanel, loo: bool) -> tuple[np.ndarray, LooValues, W
     Per-unit slopes do not couple across units, so deleting unit j leaves
     (sum_i b_i - b_j) / (N-1) of the full-sample slopes.
     """
-    xu = dp.x_unit_dm
-    blocks = UnitBlocks(xu.swapaxes(-1, -2) @ xu)
-    rhs = np.einsum("...ntk,...nt->...nk", xu, dp.y_unit_dm)
+    blocks = UnitBlocks(dp.unit_gram)
+    rhs = np.einsum("...ntk,...nt->...nk", dp.x_unit_dm, dp.y_unit_dm)
     slopes = np.einsum("...nkl,...nl->...nk", blocks.inverse, rhs)
     full = np.where(blocks.failed[..., None, None], np.nan, slopes)
     why = {"overflow": ~np.isfinite(blocks.scale), "scale": blocks.scale, "bad": blocks.bad}
@@ -262,29 +250,6 @@ def raise_failure(panel: PanelData, method: Method, why: Why, kappa: float | Non
     raise RankDeficient(f"per-unit design is rank deficient: {msg}", units=units)
 
 
-def estimate(
-    panel: PanelData,
-    method: Method | str,
-    kappa: float | None = None,
-) -> SlopeEstimates:
-    """Estimate the slopes of ``panel`` with the estimator named by ``method``.
-
-    ``kappa`` is honoured only by the ridge estimator; None there means the
-    data-driven shift of ``compute_ridge_kappa``, and a negative or
-    non-finite shift raises OutOfRange. Mean-group estimates are the
-    average of the per-unit slopes. A failing check raises the error of
-    ``raise_failure``.
-    """
-    method = Method(method)
-    slopes, why, shift, _, _ = fit_stack(panel.demeaned, [method], kappa)
-    raise_failure(panel, method, why[method], shift if kappa is None else kappa)
-    slopes = slopes[method]
-    if method is Method.TW_POOLED:
-        return SlopeEstimates(method, slopes, unit_slopes=None)
-    kappa_used = float(shift) if method is Method.TW_MG_RIDGE else None
-    return SlopeEstimates(method, slopes.mean(axis=0), slopes, kappa_used)
-
-
 # Gram matrices that overflow are a failure the records report, not a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_stack(
@@ -294,9 +259,10 @@ def fit_stack(
     loo: Sequence[Method] = (),
 ) -> tuple[dict, dict, np.ndarray | None, dict, dict]:
     """``estimate`` of ``methods`` on every panel of a stack of demeaned
-    panels (...) and, for those in ``loo``, on every (N-1)-unit subsample,
-    read from one set of per-unit pieces per method, each dropped before the
-    next is built. Every value is the one of that panel alone, bit for bit.
+    panels (...) and, for those in ``loo``, on every (N-1)-unit subsample.
+    The per-unit Grams live with the demeaning; only the two-way factors are
+    built per method, each dropped before the next. Every value is the one
+    of that panel alone, bit for bit.
 
     Returns per method the per-unit slopes (..., N, K), or tw-pooled's
     (..., K), NaN where ``estimate`` would raise, and the record of why,
@@ -317,8 +283,6 @@ def fit_stack(
     """
     n, t, k = dp.n_units, dp.n_periods, dp.n_regressors
     batch = dp.y_dd.shape[:-2]
-    need_gram = Method.TW_POOLED in methods or (Method.TW_MG_RIDGE in methods and kappa is None)
-    gram = _unit_gram(dp) if need_gram else None
     slopes, why, shift, values, flagged = {}, {}, None, {}, {}
     for m in methods:
         usable, want = np.full(batch, n >= 3), m in loo and n >= 3
@@ -328,13 +292,13 @@ def fit_stack(
             why[m] = {"periods": np.ones(batch, dtype=bool)}
             slopes[m], pair = np.full((*batch, n, k), np.nan), None
         elif m is Method.TW_POOLED:
-            slopes[m], pair, why[m] = _tw_pooled(dp, gram, want)
+            slopes[m], pair, why[m] = _tw_pooled(dp, want)
         elif m is Method.STANDARD_MG:
             slopes[m], pair, why[m] = _standard_mg(dp, want)
         elif m is Method.TW_MG:
             slopes[m], pair, why[m] = _two_way(dp, 0.0, want)
         else:
-            shift = _ridge_kappa(dp, gram) if kappa is None else np.asarray(kappa, dtype=float)
+            shift = _ridge_kappa(dp) if kappa is None else np.asarray(kappa, dtype=float)
             bad = ~((0.0 <= shift) & (shift < np.inf))
             usable &= ~bad
             slopes[m], pair, why[m] = _two_way(dp, np.where(bad, 0.0, shift), want)

@@ -382,13 +382,17 @@ class UnitBlocks:
 class TwoWayFactor(UnitBlocks):
     """The two-way system of a demeaned panel or stack ``dp`` with ridge
     shift ``kappa`` (one, or one per panel; nonnegative and finite): the
-    blocks q_i + kappa I as ``UnitBlocks``, and its ``pieces``, built when
-    first read.
+    blocks q_i + kappa I, from the panel's ``unit_gram``, as ``UnitBlocks``,
+    and its ``pieces``, built when first read.
     """
 
     def __init__(self, dp: DemeanedPanel, kappa: float | np.ndarray) -> None:
         self.dp = dp
-        super().__init__(_shifted_blocks(dp.x_unit_dm, kappa))
+        shift = np.asarray(kappa, dtype=np.float64)
+        # x + -0.0 is x for every x, so a zero shift leaves a panel's blocks bit
+        # for bit as they are, whatever the other panels' shifts.
+        shift = np.where(shift != 0.0, shift, -0.0)[..., None, None, None]
+        super().__init__(dp.unit_gram / dp.n_periods + shift * np.eye(dp.n_regressors))
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, ...]:
@@ -403,18 +407,6 @@ class TwoWayFactor(UnitBlocks):
         xt_flat = xt.reshape(*batch, -1, t)
         sum_m = xt_flat.swapaxes(-1, -2) @ a.reshape(*batch, -1, t)
         return xt, a, ay, sum_m, (ay.reshape(*batch, 1, -1) @ xt_flat)[..., 0, :]
-
-
-def _shifted_blocks(xu: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
-    """The per-unit blocks q_i + kappa I of unit-demeaned regressors
-    (..., N, T, K); ``kappa`` is one shift, or one per panel (...)."""
-    shift = np.asarray(kappa, dtype=np.float64)
-    t, k = xu.shape[-2:]
-    blocks = xu.swapaxes(-1, -2) @ xu / t
-    # x + -0.0 is x for every x, so a zero shift leaves a panel's blocks bit
-    # for bit as they are, whatever the other panels' shifts.
-    shift = np.where(shift != 0.0, shift, -0.0)
-    return blocks + shift[..., None, None, None] * np.eye(k)
 
 
 def two_way_slopes(f: TwoWayFactor) -> tuple[np.ndarray, np.ndarray]:

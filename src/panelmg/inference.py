@@ -9,8 +9,9 @@ estimator and algebraically equal to re-estimating, so the jackknife stays
 exact. A subsample whose check fails or comes within a fixed margin of its
 threshold is re-estimated with the public estimator on the rebuilt
 subpanel, which raises the error a literal loop over subsamples would raise
-first, or supplies the value. ``jackknife``, ``poolability_test``, the CLI's
-``estimate`` and ``test`` and each Monte Carlo batch are views of ``fit``.
+first, or supplies the value. ``estimate``, ``jackknife``,
+``poolability_test``, the CLI's commands and each Monte Carlo batch are
+views of ``fit``.
 
 For an estimate b with leave-one-out values b_(-i),
 
@@ -49,7 +50,7 @@ from .errors import (
     SingularOmegaDelta,
     TooSmall,
 )
-from .estimators import Method, SlopeEstimates, estimate, fit_stack, raise_failure
+from .estimators import Method, SlopeEstimates, fit_stack, raise_failure
 from .panel import PanelData, double_demean
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "ConfidenceInterval",
     "PerCoefficientTest",
     "PoolabilityReport",
+    "estimate",
     "jackknife",
     "confidence_interval",
     "poolability_test",
@@ -295,9 +297,9 @@ def fit(
     loo: Sequence[Method] | None = None,
 ) -> Fit:
     """Fit ``methods`` to ``panel``, a PanelData or a stack of panels (``y``
-    (..., N, T) and ``x`` (..., N, T, K)), from one demeaning (a PanelData's
-    own, shared with ``estimate``), with leave-one-out estimates for those
-    in ``loo`` (default: all).
+    (..., N, T) and ``x`` (..., N, T, K)), from one demeaning and its
+    per-unit Gram matrices (a PanelData's own, cached on it), with
+    leave-one-out estimates for those in ``loo`` (default: all).
 
     ``kappa`` is the ridge shift held on the full sample and every
     subsample, None for each panel's data-driven one. The subsamples
@@ -337,6 +339,23 @@ def fit(
     unit_slopes = {m: None if m is Method.TW_POOLED else s for m, s in slopes.items()}
     shift = shift if kappa is None else kappa
     return Fit(panel, beta, why, unit_slopes, shift, values, flagged, has, failures)
+
+
+def estimate(
+    panel: PanelData,
+    method: Method | str,
+    kappa: float | None = None,
+) -> SlopeEstimates:
+    """Estimate the slopes of ``panel`` with the estimator named by ``method``.
+
+    ``kappa`` is honoured only by the ridge estimator; None there means the
+    data-driven shift of ``compute_ridge_kappa``, and a negative or
+    non-finite shift raises OutOfRange. Mean-group estimates are the
+    average of the per-unit slopes. A failing check raises the error of
+    ``estimators.raise_failure``. Calls on one panel share its demeaning.
+    """
+    method = Method(method)
+    return fit(panel, [method], kappa, loo=[]).estimate(method)
 
 
 def jackknife(

@@ -62,9 +62,9 @@ class PanelData:
 
     Instances are immutable: the arrays are private copies marked read-only,
     so a panel can be shared freely across threads or subsamples. Its
-    ``demeaned`` arrays are computed on first use and kept; they are
-    read-only too, so every estimate, ridge shift and fit of one panel reads
-    one demeaning.
+    ``demeaned`` arrays and their per-unit Grams are computed on first use
+    and kept, read-only too, so every estimate, ridge shift and fit of one
+    panel reads one demeaning.
     """
 
     y: np.ndarray
@@ -189,6 +189,22 @@ class DemeanedPanel:
         # they are marked read-only in place rather than copied.
         for name in ("y_dd", "x_dd", "y_unit_dm", "x_unit_dm"):
             getattr(self, name).flags.writeable = False
+
+    @cached_property
+    def unit_gram(self) -> np.ndarray:
+        """xdot_i' xdot_i (..., N, K, K), read-only: the blocks of mg and,
+        scaled by 1/T and shifted, of the two-way system."""
+        gram = self.x_unit_dm.swapaxes(-1, -2) @ self.x_unit_dm
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def pooled_gram(self) -> np.ndarray:
+        """xdd_i' xdd_i (..., N, K, K), read-only: summed, tw-pooled's Gram;
+        their determinants give the ridge shift."""
+        gram = self.x_dd.swapaxes(-1, -2) @ self.x_dd
+        gram.flags.writeable = False
+        return gram
 
     @property
     def n_units(self) -> int:

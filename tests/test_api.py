@@ -1,5 +1,6 @@
 """The package's public surface and what importing it loads."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -66,6 +67,13 @@ def test_all_is_the_kept_list():
 def test_every_public_name_resolves():
     for name in panelmg.__all__:
         assert getattr(panelmg, name) is not None, name
+
+
+def test_every_module_all_resolves():
+    for path in sorted(Path(panelmg.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"panelmg.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_import_loads_no_scipy():

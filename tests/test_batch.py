@@ -14,7 +14,7 @@ import panelmg.simulation as simulation
 from panelmg import DGP_N_REGRESSORS, Method, PanelData, estimate, run_monte_carlo
 from panelmg.cli import main
 from panelmg.errors import EstimationError
-from panelmg.estimators import _ridge_kappa, _standard_mg, _tw_pooled, _unit_gram
+from panelmg.estimators import _ridge_kappa, _standard_mg, _tw_pooled
 from panelmg.gram import TwoWayFactor, loo_two_way, two_way_slopes
 from panelmg.inference import fit
 from panelmg.panel import double_demean
@@ -96,9 +96,8 @@ def test_kernels_are_bit_identical_across_batch_shapes(data):
     y, x = data
     dp = double_demean(SimpleNamespace(y=y, x=x))
     alone = [double_demean(PanelData.from_arrays(y[r], x[r])) for r in range(len(y))]
-    gram = _unit_gram(dp)
-    kappa = _ridge_kappa(dp, gram)
-    assert np.array_equal(kappa, [_ridge_kappa(d, _unit_gram(d)) for d in alone], equal_nan=True)
+    kappa = _ridge_kappa(dp)
+    assert np.array_equal(kappa, [_ridge_kappa(d) for d in alone], equal_nan=True)
     kappa = np.where(np.isfinite(kappa), kappa, 0.0)
 
     for shift in (np.zeros(len(y)), kappa):
@@ -107,8 +106,8 @@ def test_kernels_are_bit_identical_across_batch_shapes(data):
         assert_each_panel(lambda: two_way_slopes(f), [two_way_slopes(g) for g in single])
         assert_each_panel(lambda: loo_two_way(f), [loo_two_way(g) for g in single])
     assert_each_panel(
-        lambda: outputs(*_tw_pooled(dp, gram, True)),
-        [outputs(*_tw_pooled(d, _unit_gram(d), True)) for d in alone],
+        lambda: outputs(*_tw_pooled(dp, True)),
+        [outputs(*_tw_pooled(d, True)) for d in alone],
     )
     assert_each_panel(
         lambda: outputs(*_standard_mg(dp, True)),

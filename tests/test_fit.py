@@ -4,16 +4,17 @@ per-method public functions and the dense and literal oracles give, and
 every command and Monte Carlo batch reads them from one pass."""
 
 import weakref
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import panelmg.estimators as estimators
-import panelmg.gram as gram
 import panelmg.inference as inference
 import panelmg.panel as panel_module
 from panelmg import (
+    DemeanedPanel,
     Method,
     PanelData,
     RankDeficient,
@@ -101,18 +102,36 @@ def counting_demeanings(monkeypatch):
     return counts
 
 
+def counting_grams(monkeypatch, counts):
+    """Count each build of the per-unit Gram matrices a demeaning caches."""
+    for name in ("unit_gram", "pooled_gram"):
+        real = DemeanedPanel.__dict__[name].func
+
+        def counted(self, name=name, real=real):
+            counts[name] = counts.get(name, 0) + 1
+            return real(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(DemeanedPanel, name)
+        monkeypatch.setattr(DemeanedPanel, name, prop)
+
+
 def test_one_demeaning_per_panel(monkeypatch):
     y, x, _ = random_panel(22, 20, 6, 3)
     panel = PanelData.from_arrays(y, x)
     counts = counting_demeanings(monkeypatch)
+    counting_grams(monkeypatch, counts)
     estimates = [estimate(panel, m) for m in Method]
     compute_ridge_kappa(panel)
     f = fit(panel, list(Method))
-    assert counts == {"double_demean": 1}
+    assert counts == {"double_demean": 1, "unit_gram": 1, "pooled_gram": 1}
     for m, est in zip(Method, estimates):
         assert np.array_equal(f.beta[m], est.beta_hat)
-    assert panel.demeaned is panel.demeaned
-    assert not panel.demeaned.x_dd.flags.writeable
+    dp = panel.demeaned
+    assert dp is panel.demeaned
+    for cached in (dp.x_dd, dp.unit_gram, dp.pooled_gram):
+        assert not cached.flags.writeable
+    assert dp.unit_gram.shape == dp.pooled_gram.shape == (20, 3, 3)
 
 
 def test_a_reestimated_subsample_is_demeaned_once(monkeypatch):
@@ -134,14 +153,14 @@ def test_one_block_build_per_stack_and_shift(monkeypatch):
     counts = {}
     counting(monkeypatch, inference, "double_demean", counts)
     counting(monkeypatch, inference, "estimate", counts)
-    counting(monkeypatch, gram, "_shifted_blocks", counts)
-    counting(monkeypatch, estimators, "_unit_gram", counts)
+    counting(monkeypatch, estimators, "TwoWayFactor", counts)
+    counting_grams(monkeypatch, counts)
     # one cell of 5 replications is one batch
     run_monte_carlo([(4, 20, 6)], [m.value for m in Method], 5, 3)
-    # the plain and the ridge shift each build their blocks once; the
-    # ridge shift and tw-pooled share the per-unit Gram matrices, and no
-    # subsample is re-estimated literally here
-    assert counts == {"double_demean": 1, "_shifted_blocks": 2, "_unit_gram": 1}
+    # the plain and the ridge shift each build their blocks once, from the
+    # batch's one set of Gram matrices, and no subsample is re-estimated
+    # literally here
+    assert counts == {"double_demean": 1, "unit_gram": 1, "pooled_gram": 1, "TwoWayFactor": 2}
 
 
 def test_a_failing_estimate_is_raised_from_the_fit(monkeypatch):

@@ -16,6 +16,7 @@ from panelmg import (
     EstimationError,
     Method,
     PanelData,
+    PanelMgError,
     RankDeficient,
     SingularSystem,
     TooFewPeriods,
@@ -337,6 +338,40 @@ def test_matches_literal_on_random_designs(seed, n, k, extra_t, method, x_exp, y
     panel = PanelData.from_arrays(y * 10.0**y_exp, x * 10.0**x_exp)
     kappa = compute_ridge_kappa(panel) if method == "tw-mg-ridge" else None
     assert_same_outcome(panel, method, kappa, rel=1e-8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([3, 5]),
+    k=st.integers(1, 4),
+    method=st.sampled_from(METHODS),
+    x_exp=st.sampled_from([-8, 0, 8]),
+    y_exp=st.sampled_from([-8, 0, 8]),
+)
+@example(seed=0, n=3, k=4, method="tw-mg", x_exp=8, y_exp=-8)
+@example(seed=0, n=5, k=4, method="tw-mg-ridge", x_exp=-8, y_exp=8)
+@example(seed=1, n=5, k=4, method="tw-mg-ridge", x_exp=8, y_exp=8)
+@example(seed=2, n=3, k=4, method="tw-pooled", x_exp=-8, y_exp=-8)
+@example(seed=3, n=5, k=4, method="mg", x_exp=8, y_exp=-8)
+@example(seed=4, n=5, k=2, method="tw-mg", x_exp=-8, y_exp=8)
+def test_extreme_designs_agree_and_stay_psd(seed, n, k, method, x_exp, y_exp):
+    # T = K + 2 and data scaled by 1e+-8: the fit may well fail (often for
+    # K = 4), but then both paths fail alike. Where the jackknife and the
+    # homogeneity test are defined, Omega is PSD to rounding and J >= 0.
+    y, x, _ = random_panel(seed, n, k + 2, k)
+    panel = PanelData.from_arrays(y * 10.0**y_exp, x * 10.0**x_exp)
+    kappa = compute_ridge_kappa(panel) if method == "tw-mg-ridge" else None
+    if isinstance(assert_same_outcome(panel, method, kappa, rel=1e-8), tuple):
+        return
+    w = np.linalg.eigvalsh(jackknife(panel, method, kappa).omega_hat)
+    assert w[0] >= -1e-12 * np.abs(w).max()
+    if method in ("tw-mg", "tw-mg-ridge"):
+        try:
+            report = poolability_test(panel, use_ridge=method == "tw-mg-ridge")
+        except PanelMgError:
+            return
+        assert report.joint_stat >= 0.0
 
 
 class TestNoSubpanelIsRebuilt:
