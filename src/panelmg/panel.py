@@ -18,6 +18,7 @@ import codecs
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -77,8 +78,8 @@ class PanelData:
         x = _freeze(self.x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "unit_labels", tuple(str(u) for u in self.unit_labels))
-        object.__setattr__(self, "time_labels", tuple(str(t) for t in self.time_labels))
+        object.__setattr__(self, "unit_labels", tuple(map(str, self.unit_labels)))
+        object.__setattr__(self, "time_labels", tuple(map(str, self.time_labels)))
         if y.ndim != 2:
             raise MalformedInput(f"y must be 2-dimensional (N, T), got shape {y.shape}")
         if x.ndim != 3:
@@ -158,11 +159,10 @@ class PanelData:
         n = self.n_units
         if not 0 <= index < n:
             raise IndexError(f"unit index {index} out of range for N={n}")
-        keep = [i for i in range(n) if i != index]
         return PanelData(
-            y=self.y[keep],
-            x=self.x[keep],
-            unit_labels=tuple(self.unit_labels[i] for i in keep),
+            y=np.delete(self.y, index, axis=0),
+            x=np.delete(self.x, index, axis=0),
+            unit_labels=self.unit_labels[:index] + self.unit_labels[index + 1 :],
             time_labels=self.time_labels,
         )
 
@@ -394,11 +394,14 @@ def read_csv(path: str | Path) -> PanelData:
     ``csv`` module cannot parse, is offending and raises MalformedInput.
 
     There are two paths. A plain file (no quotes, no blank rows, no control
-    byte but LF or CRLF line ends, every row as wide as the header) is split
-    at its commas in blocks of whole lines. Any other file, and any plain
-    file that is not a valid panel, is read again from the start by the
-    ``csv`` module, streaming rows to ``validate_panel``; that path alone
-    raises data errors. The panel, and the class and message of every
+    byte but LF or CRLF line ends, every row as wide as the header) is read
+    from its bytes in blocks of whole lines. Its values are exact, as with
+    ``float``: decimals of up to 19 digits are parsed by numpy, the rest by
+    ``float``. Row order stays free, but a block sorted by unit, then by
+    period, has its labels coded from the row numbers. Any other file, and
+    any plain file that is not a valid panel, is read again from the start
+    by the ``csv`` module, streaming rows to ``validate_panel``; that path
+    alone raises data errors. The panel, and the class and message of every
     error, do not depend on which path ran.
     """
     path = Path(path)
@@ -481,11 +484,13 @@ _BLOCK_BYTES = 1 << 20
 def _read_plain(path: Path) -> PanelData | None:
     """``read_csv`` of a plain file, or None.
 
-    None means the file is not plain (see ``_plain_fields``) or is not a
+    None means the file is not plain (see ``_plain_seps``) or is not a
     valid panel: the ``csv`` path then decides. The ``csv`` module splits
-    a plain file at its commas and line ends alone, so ``str.split`` gives
-    it the same fields, and the same labels and values follow from the
-    same label coding and ``float``.
+    a plain file at its commas and line ends alone, so each block's fields
+    are the bytes between those separators. Its labels get the same codes
+    as ``_code_labels`` gives (``_code_runs`` finds them from the row
+    numbers in a unit-major block) and its values the same bits as
+    ``float`` (``_parse_values``).
     """
     unit_index: dict[str, int] = {}
     time_index: dict[str, int] = {}
@@ -497,21 +502,25 @@ def _read_plain(path: Path) -> PanelData | None:
         if not width:
             block = block.removeprefix(codecs.BOM_UTF8)
             cut = block.index(b"\n") + 1
-            header = _plain_fields(block[:cut], block.count(b",", 0, cut) + 1)
-            if header is None or not _is_header(header):
+            seps = _plain_seps(block[:cut], block.count(b",", 0, cut) + 1)
+            if seps is None:
+                return None
+            header = block[: seps[0, -1]].decode("utf-8").split(",")
+            if not _is_header(header):
                 return None
             width, block = len(header), block[cut:]
-        fields = _plain_fields(block, width) if block else []
-        if fields is None:
+            if not block:
+                continue
+        seps = _plain_seps(block, width)
+        if seps is None:
             return None
-        unit_codes.append(_code_labels(fields[::width], unit_index))
-        time_codes.append(_code_labels(fields[1::width], time_index))
-        del fields[::width]
-        del fields[:: width - 1]
-        try:
-            values.append(np.fromiter(map(float, fields), dtype=np.float64, count=len(fields)))
-        except ValueError:
+        units, times = _label_codes(block, seps, unit_index, time_index)
+        unit_codes.append(units)
+        time_codes.append(times)
+        parsed = _parse_values(block, seps)
+        if parsed is None:
             return None
+        values.append(parsed)
     n, t = len(unit_index), len(time_index)
     if n < 2 or t < 2:
         return None
@@ -542,14 +551,15 @@ def _whole_line_blocks(path: Path) -> Iterator[bytes | None]:
         yield rest + b"\n"
 
 
-def _plain_fields(block: bytes, width: int) -> list[str] | None:
-    """The fields of ``block``'s lines, row by row, if the lines are plain;
-    else None. ``block`` ends in a newline.
+def _plain_seps(block: bytes, width: int) -> np.ndarray | None:
+    """Where each field of ``block``'s lines ends, (lines, width), if the
+    lines are plain; else None. ``block`` ends in a newline.
 
-    Plain lines are strict UTF-8 with no quote, no control byte but LF and
-    the CR of CRLF (the ``csv`` module of Python 3.10 rejects NUL), and
-    exactly ``width - 1`` commas each, so none is blank. None of them is
-    longer than ``csv.field_size_limit()``, so no field is.
+    A field ends at a comma, at LF or at the CR of CRLF. Plain lines are
+    strict UTF-8 with no quote, no control byte but LF and the CR of CRLF
+    (the ``csv`` module of Python 3.10 rejects NUL), and exactly
+    ``width - 1`` commas each, so none is blank. None of them is longer
+    than ``csv.field_size_limit()``, so no field is.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
     # one pass finds every control byte, comma and quote
@@ -564,15 +574,196 @@ def _plain_fields(block: bytes, width: int) -> list[str] | None:
         and (np.diff(ends, prepend=-1) - 1).max() <= csv.field_size_limit()
     ):
         return None
-    try:
-        text = block.decode("utf-8")
-    except UnicodeDecodeError:
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    # the LF of a CRLF ends no field: its CR, the mark before it, did
+    newline[1:] &= ~cr[:-1]
+    return marked[comma | cr | newline].reshape(-1, width)
+
+
+def _label_codes(
+    block: bytes, seps: np.ndarray, unit_index: dict[str, int], time_index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_code_labels`` of the unit and of the time fields of ``block``'s lines.
+
+    Only the bytes of each line up to its second comma are decoded, as one
+    string for the block, and split at the commas.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    line_end = seps[:-1, -1]
+    starts = np.zeros(len(seps), dtype=np.intp)
+    starts[1:] = line_end + 1 + (raw[line_end] == 0x0D)
+    lengths = seps[:, 1] + 1 - starts
+    at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    fields = raw[at].tobytes().decode("utf-8").split(",")
+    units, times = fields[0:-1:2], fields[1:-1:2]
+    return _code_runs(units, times, unit_index, time_index) or (
+        _code_labels(units, unit_index),
+        _code_labels(times, time_index),
+    )
+
+
+def _code_runs(
+    units: list[str], times: list[str], unit_index: dict[str, int], time_index: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_code_labels`` of a unit-major block's unit and time labels, found
+    from the row numbers; None if the block is not unit-major.
+
+    Unit-major: the times cycle through the known periods, or, in the
+    first block, through its first run of distinct labels, and the units
+    come in runs that change with each cycle. Each run's label is new and
+    distinct, but for a run that continues the last block's unit. Labels
+    are compared as read: a label that ``str.strip`` would change is not
+    known, so its block is not unit-major.
+    """
+    rows = len(times)
+    periods = list(time_index)
+    phase = time_index.get(times[0])
+    if not periods:
+        try:
+            periods = times[: times.index(times[0], 1)]
+        except ValueError:
+            return None  # no full cycle to learn the periods from
+        if len(set(periods)) < len(periods) or list(map(str.strip, periods)) != periods:
+            return None
+        phase = 0
+    if phase is None:
         return None
-    if cr.any():
-        text = text.replace("\r\n", "\n")
-    fields = text.replace("\n", ",").split(",")
-    del fields[-1]  # after the final newline
-    return fields
+    t = len(periods)
+    if times != (periods * (rows // t + 2))[phase : phase + rows]:
+        return None
+    runs = units[0:1] + units[t - phase :: t] if phase else units[::t]
+    if units != list(chain.from_iterable(repeat(u, t) for u in runs))[phase : phase + rows]:
+        return None
+    new = runs[1:] if phase else runs
+    if (
+        (phase and runs[0] not in unit_index)
+        or not unit_index.keys().isdisjoint(new)
+        or len(set(new)) < len(new)
+        or list(map(str.strip, new)) != new
+    ):
+        return None
+    row = phase + np.arange(rows)
+    unit_codes = row // t + (len(unit_index) - bool(phase))
+    if phase:
+        unit_codes[: t - phase] = unit_index[runs[0]]
+    if not time_index:
+        time_index.update(zip(periods, range(t)))
+    unit_index.update(zip(new, count(len(unit_index))))
+    return unit_codes, row % t
+
+
+# Fields of the form -?D+(.D*)? or -?.D+ with 1 to _FAST_DIGITS digits
+# are parsed from their bytes (Clinger 1990; Lemire 2021): the digits
+# m < 10**19 are exact as uint64, and m / 10**f, f <= 19, is rounded once
+# to a 64-bit significand and then to a double. Both roundings are
+# monotone and every midpoint between two doubles has a 64-bit
+# significand, so the double is float()'s unless the first rounding landed
+# on such a midpoint. Those fields, and all others, go to float(). A long
+# double of fewer bits parses no field here.
+_FAST_DIGITS = 19 if np.finfo(np.longdouble).nmant >= 63 else 0
+_WINDOW = 24  # bytes: a sign, 19 digits, a dot and leading zeros
+_CHUNK = 1 << 13  # fields parsed at once: their temporaries stay small
+_WORD_START = np.array([0, 8, 16])[:, None]  # of the window's three words
+_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
+_BYTE_WEIGHT = np.array([1.0, 2.0**64, 2.0**128])  # of a word of bytes 0 or 1
+_ZEROS = np.uint64(0x3030303030303030)
+# one power for each place of a dot; those of a fast field, 10**19 and
+# below, are exact as doubles (5**19 < 2**53)
+_POW10 = np.array([10.0**f for f in range(_WINDOW)]).astype(np.longdouble)
+
+
+def _parse_values(block: bytes, seps: np.ndarray) -> np.ndarray | None:
+    """``float`` of the value fields of ``block``'s lines, whose fields end
+    at ``seps``, line by line; or None if one of them does not parse."""
+    starts, ends = (seps[:, 1:-1] + 1).ravel(), seps[:, 2:].ravel()
+    padded = np.frombuffer(b"0" * _WINDOW + block, dtype=np.uint8)
+    # windows[e] is the _WINDOW bytes before block[e], zeros before the block
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _WINDOW)
+    out = np.empty(len(starts))
+    fast = np.empty(len(starts), dtype=bool)
+    for lo in range(0, len(starts), _CHUNK):
+        s, e = starts[lo : lo + _CHUNK], ends[lo : lo + _CHUNK]
+        # the three words of each field's window, one row each
+        words = np.ascontiguousarray(windows[e].view("<u8").T)
+        out[lo : lo + len(s)], fast[lo : lo + len(s)] = _exact_values(
+            words, e - s, padded[s + _WINDOW] == 0x2D
+        )
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        # the value fields of the lines that hold one, from one split
+        per_line = seps.shape[1] - 2
+        lines, at = np.unique(slow // per_line, return_inverse=True)
+        spans = map(slice, (seps[lines, 1] + 1).tolist(), seps[lines, -1].tolist())
+        fields = b",".join(map(block.__getitem__, spans)).decode("utf-8").split(",")
+        chosen = map(fields.__getitem__, (at * per_line + slow % per_line).tolist())
+        try:
+            out[slow] = np.fromiter(map(float, chosen), dtype=np.float64, count=len(slow))
+        except ValueError:
+            return None
+    return out
+
+
+def _exact_values(
+    words: np.ndarray, length: np.ndarray, neg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the fields right-aligned in windows of three words,
+    ``words[k]`` the k-th from the left, ``length`` bytes long and negative
+    where ``neg``; and where they are exact: elsewhere they are garbage.
+    ``words`` is overwritten."""
+    lead = _WINDOW - length + neg  # bytes before the digits and dot
+    # the column of the window's last dot (-1 if none): a sum of 256**column
+    # over the dots has the binary exponent 8 * column + 1
+    dots = _BYTE_WEIGHT @ (words.view(np.uint8) == 0x2E).view("<u8").astype(np.float64)
+    dot = (np.frexp(dots)[1] - 1) >> 3
+    has_dot = dot >= lead
+    # the bytes before each field, and its sign, become leading zeros
+    _set_bytes(words, _ZEROS, _LOW_BYTES.take(lead - _WORD_START, mode="clip"))
+    # the bytes up to the dot move one to the right, over it
+    shifted = words << np.uint64(8)
+    shifted[1:] |= words[:-1] >> np.uint64(56)
+    shifted[0] |= np.uint64(0x30)
+    _set_bytes(words, shifted, _LOW_BYTES.take((dot + 1) * has_dot - _WORD_START, mode="clip"))
+    del shifted
+    words ^= _ZEROS  # digits as byte values, each below 10 if all are digits
+    above_nine = words + np.uint64(0x7676767676767676)
+    above_nine |= words
+    above_nine &= np.uint64(0x8080808080808080)
+    digits = length - neg - has_dot
+    fast = (digits >= 1) & (digits <= _FAST_DIGITS) & (above_nine == 0).all(axis=0)
+    del above_nine
+    # eight digits a word, the first the highest (Lemire 2021)
+    pairs = np.uint64(0x000000FF000000FF)
+    high = words >> np.uint64(8)
+    words *= np.uint64(10)
+    words += high
+    np.right_shift(words, np.uint64(16), out=high)
+    high &= pairs
+    high *= np.uint64(1 + (10000 << 32))
+    words &= pairs
+    words *= np.uint64(100 + (1000000 << 32))
+    words += high
+    words >>= np.uint64(32)
+    exact = (words[0] * np.uint64(10**16) + words[1] * np.uint64(10**8) + words[2]).astype(np.longdouble)
+    exact /= _POW10.take((_WINDOW - 1 - dot) * has_dot, mode="clip")
+    value = exact.astype(np.float64)
+    # A midpoint lies half the double's spacing from it, or a quarter below
+    # it when the double is a power of two; every field a quarter from its
+    # double goes to float() too.
+    off = np.abs((exact - value).astype(np.float64)) / np.spacing(value)
+    fast &= (off != 0.5) & (off != 0.25)
+    np.negative(value, out=value, where=neg)
+    return value, fast
+
+
+def _set_bytes(words: np.ndarray, source: np.ndarray | np.uint64, mask: np.ndarray) -> None:
+    """Set the bytes of ``words`` under ``mask`` to those of ``source``;
+    ``mask`` is overwritten."""
+    mask &= words ^ source
+    words ^= mask
 
 
 def _is_utf8(row: list[str]) -> bool:

@@ -1,9 +1,13 @@
 """Panel construction, long-format validation, CSV ingestion, and demeaning."""
 
 import csv
+import decimal
 import io
+import math
+import random
 import re
 import statistics
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -96,6 +100,17 @@ class TestPanelData:
         assert p.n_units == 4  # original untouched
         with pytest.raises(IndexError):
             p.without_unit(4)
+
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    def test_without_unit_matches_a_row_selection(self, index):
+        p = make_panel(n=7, t=3, k=2)
+        keep = [i for i in range(7) if i != index]
+        sub = p.without_unit(index)
+        assert sub.y.tobytes() == p.y[keep].tobytes()
+        assert sub.x.tobytes() == p.x[keep].tobytes()
+        assert sub.unit_labels == tuple(p.unit_labels[i] for i in keep)
+        assert sub.time_labels == p.time_labels
+        assert not sub.y.flags.writeable and not sub.x.flags.writeable
 
 
 class TestDoubleDemean:
@@ -631,3 +646,258 @@ class TestPlainReader:
             tracemalloc.stop()
         assert p.y.shape == (10000, 10)
         assert peak < 4 * f.stat().st_size
+
+    @pytest.fixture
+    def run_spy(self):
+        """Counts the blocks ``_code_runs`` coded and the ones it left."""
+        seen = {"runs": 0, "left": 0}
+        code_runs = panel_module._code_runs
+
+        def spy(*args):
+            codes = code_runs(*args)
+            seen["left" if codes is None else "runs"] += 1
+            return codes
+
+        with mock.patch.object(panel_module, "_code_runs", spy):
+            yield seen
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["unit-major", "time-major", "shuffled", "padded-head", "padded-unit",
+         "unit-back", "duplicate", "long-period", "crlf"],
+    )
+    def test_run_coding_against_label_coding(self, tmp_path, run_spy, layout):
+        t = 12 if layout == "long-period" else 4
+        y, x, _ = random_panel(8, 9, t, 1)
+        lines = panel_lines(y, x)
+        header, rows = lines[0], lines[1:]
+        rng = np.random.default_rng(3)
+        if layout == "time-major":
+            rows = [rows[i * t + s] for s in range(t) for i in range(9)]
+        elif layout == "shuffled":
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+        elif layout == "padded-head":  # only the first row of u3 is padded
+            rows[3 * t] = " " + rows[3 * t]
+        elif layout == "padded-unit":  # every row of u3 is padded
+            rows[3 * t : 4 * t] = [" " + r for r in rows[3 * t : 4 * t]]
+        elif layout == "unit-back":  # u1's last two periods come after u2
+            rows = rows[:t] + rows[t + 2 : 2 * t] + rows[2 * t : 3 * t] + rows[t : t + 2] + rows[3 * t :]
+        elif layout == "duplicate":  # u1 comes back with one more t0 row
+            rows = rows[: 5 * t] + [rows[t]] + rows[5 * t :]
+        eol = "\r\n" if layout == "crlf" else "\n"
+        f = tmp_path / "p.csv"
+        f.write_text(eol.join([header] + rows) + eol, encoding="utf-8")
+        expected = ingest_outcome(streamed, f)
+        # blocks of about four lines, so most start in the middle of a unit
+        with mock.patch.object(panel_module, "_BLOCK_BYTES", 4 * len(rows[0])):
+            with mock.patch.object(panel_module, "_code_runs", return_value=None):
+                assert ingest_outcome(read_csv, f) == expected
+            if layout == "duplicate":
+                assert ingest_outcome(read_csv, f) == expected
+            else:
+                with csv_reader_forbidden():
+                    assert ingest_outcome(read_csv, f) == expected
+        if layout == "duplicate":
+            assert expected[0] is DuplicateCell
+        else:
+            assert len(expected) == 4  # a panel
+        if layout in ("unit-major", "crlf", "long-period", "padded-head", "padded-unit"):
+            assert run_spy["runs"] > run_spy["left"]
+        else:
+            assert run_spy["left"] > 0
+
+    def test_one_block_peak_memory(self, tmp_path):
+        # Bounded by the tracemalloc peak of the reader before values were
+        # parsed from bytes: 6695603 bytes (Python 3.11, numpy 2.4).
+        y, x, _ = random_panel(7, 1000, 10, 2)
+        f = tmp_path / "p.csv"
+        f.write_text("\n".join(panel_lines(y, x)) + "\n", encoding="utf-8")
+        assert f.stat().st_size < panel_module._BLOCK_BYTES
+        read_csv(f)
+        tracemalloc.start()
+        try:
+            read_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_695_603
+
+
+@st.composite
+def label_blocks(draw):
+    """Blocks of (unit, time) label rows: unit-major, time-major or
+    shuffled, with padded, repeated or dropped rows."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [(f"u{i}", f"t{s}") for i in range(n) for s in range(t)]
+    order = draw(st.sampled_from(["unit-major", "time-major", "shuffled"]))
+    if order == "time-major":
+        rows = [rows[i * t + s] for s in range(t) for i in range(n)]
+    elif order == "shuffled":
+        rows = draw(st.permutations(rows))
+    for fault in draw(st.lists(st.sampled_from(["pad", "repeat", "drop"]), max_size=2)):
+        r = draw(st.integers(0, len(rows) - 1))
+        if fault == "pad":
+            col = draw(st.integers(0, 1))
+            rows[r] = tuple(" " + v if c == col else v for c, v in enumerate(rows[r]))
+        elif fault == "repeat":
+            rows.insert(draw(st.integers(r, len(rows))), rows[r])
+        elif len(rows) > 1:
+            del rows[r]
+    cuts = sorted(draw(st.lists(st.integers(1, len(rows) - 1), max_size=3)) if len(rows) > 1 else [])
+    bounds = [0] + cuts + [len(rows)]
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+class TestCodeRuns:
+    """``_code_runs`` against ``_code_labels``, block after block."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(label_blocks())
+    def test_same_codes_and_labels(self, blocks):
+        by_runs, by_labels = ({}, {}), ({}, {})
+        for block in blocks:
+            units, times = [u for u, _ in block], [s for _, s in block]
+            codes = panel_module._code_runs(units, times, *by_runs)
+            if codes is None:
+                codes = [panel_module._code_labels(c, i) for c, i in zip((units, times), by_runs)]
+            expected = [panel_module._code_labels(c, i) for c, i in zip((units, times), by_labels)]
+            assert [list(c) for c in codes] == [list(c) for c in expected]
+            assert [list(i.items()) for i in by_runs] == [list(i.items()) for i in by_labels]
+
+    def test_unit_major_block_is_run_coded(self):
+        unit_index, time_index = {}, {}
+        units, times = ["a", "a", "a", "b", "b", "b", "c"], ["1", "2", "3"] * 2 + ["1"]
+        unit_codes, time_codes = panel_module._code_runs(units, times, unit_index, time_index)
+        assert unit_codes.tolist() == [0, 0, 0, 1, 1, 1, 2]
+        assert time_codes.tolist() == [0, 1, 2, 0, 1, 2, 0]
+        # the next block continues unit c in the middle of its cycle
+        unit_codes, time_codes = panel_module._code_runs(
+            ["c", "c", "d"], ["2", "3", "1"], unit_index, time_index
+        )
+        assert unit_codes.tolist() == [2, 2, 3] and time_codes.tolist() == [1, 2, 0]
+        assert list(unit_index) == ["a", "b", "c", "d"] and list(time_index) == ["1", "2", "3"]
+
+    @pytest.mark.parametrize(
+        "units,times",
+        [
+            (["a", "a", "b"], ["1", "2", "3"]),  # no full cycle in a first block
+            (["a", "b", "a", "b"], ["1", "1", "2", "2"]),  # time-major
+            ([" a", " a", "b", "b"], ["1", "2", "1", "2"]),  # a padded head
+            (["a", "a", "b", "b"], ["1", " 2", "1", " 2"]),  # a padded period
+            (["a", "a", "a", "a"], ["1", "2", "1", "2"]),  # a head that is not new
+            (["a", "a", "b", "b"], ["1", "1", "1", "1"]),  # a repeated period
+        ],
+    )
+    def test_other_first_blocks_are_left_to_label_coding(self, units, times):
+        unit_index, time_index = {}, {}
+        assert panel_module._code_runs(units, times, unit_index, time_index) is None
+        assert unit_index == {} and time_index == {}
+
+
+def parsed(strings):
+    """``panel._parse_values`` of ``strings`` as the values of one line."""
+    block = (",".join(["u", "t", *strings]) + "\n").encode()
+    raw = np.frombuffer(block, dtype=np.uint8)
+    return panel_module._parse_values(block, np.flatnonzero((raw == 0x2C) | (raw == 0x0A))[None])
+
+
+def assert_parsed_like_float(strings):
+    """Each string parses to ``float``'s bits, or alone to None where
+    ``float`` raises ValueError."""
+    good, bad = [], []
+    for s in strings:
+        try:
+            good.append(float(s))
+        except ValueError:
+            bad.append(s)
+    kept = [s for s in strings if s not in set(bad)]
+    got = parsed(kept)
+    assert got is not None
+    mismatched = [s for s, a, b in zip(kept, got.tolist(), good) if a.hex() != b.hex()]
+    assert mismatched == []
+    assert [s for s in bad if parsed([s]) is not None] == []
+
+
+def midpoint(j, e, nudge):
+    """(2j + 1) 2**(e - 1) in decimal, its last digit moved by ``nudge``:
+    for 2**52 <= j < 2**53, the midpoint between two doubles and its
+    neighbours."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        value = decimal.Decimal(2 * j + 1) * decimal.Decimal(2) ** (e - 1)
+        value += nudge * decimal.Decimal(1).scaleb(value.as_tuple().exponent)
+    return format(value, "f")
+
+
+MIDPOINTS = st.builds(
+    midpoint, st.integers(2**52, 2**53 - 1), st.integers(-3, 11), st.integers(-1, 1)
+)
+DIGIT_STRINGS = st.builds(
+    lambda digits, at, dot, sign: sign * "-" + (digits[:at] + "." + digits[at:] if dot else digits),
+    st.text("0123456789", min_size=1, max_size=20),
+    st.integers(0, 20),
+    st.booleans(),
+    st.booleans(),
+)
+GRAMMAR_EDGES = [
+    ".", "-", "-.", "5.", ".5", "-0", "-0.0", "", "+1", "1e5", " 1", "1_0", "٣", "nan",
+    "12345678901234567890", "-1234567890123456789.0", "9999999999999999999", "1.2.3", "--1",
+]
+
+
+class TestExactValues:
+    """The reader's value parse against ``float``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                st.builds("{:.{}f}".format, st.floats(-1e6, 1e6), st.integers(0, 19)),
+                DIGIT_STRINGS,
+                MIDPOINTS,
+                st.sampled_from(GRAMMAR_EDGES),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(["4503599627370497.5", "4503599627370496.5", "9007199254740993"])
+    def test_same_bits_as_float(self, strings):
+        assert_parsed_like_float(strings)
+
+    def test_sweep(self):
+        # 60000 strings of each kind but the grammar edges
+        rng = random.Random(15)
+        doubles = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(60000)]
+        strings = [repr(v) for v in doubles if math.isfinite(v)]
+        strings += [f"{rng.gauss(0, 1e3):.{rng.randint(0, 19)}f}" for _ in range(60000)]
+        for _ in range(60000):
+            digits = "".join(rng.choices("0123456789", k=rng.randint(1, 20)))
+            at = rng.randint(0, len(digits))
+            text = digits[:at] + "." + digits[at:] if rng.random() < 0.7 else digits
+            strings.append(("-" if rng.random() < 0.5 else "") + text)
+        strings += [
+            midpoint(rng.randrange(2**52, 2**53), rng.randint(-3, 11), nudge)
+            for _ in range(20000)
+            for nudge in (-1, 0, 1)
+        ]
+        assert_parsed_like_float(strings + GRAMMAR_EDGES)
+
+    def test_fast_path_parses_the_benchmark_values(self):
+        values = [repr(v) for v in np.random.default_rng(4).normal(size=1000).tolist()]
+        with mock.patch.object(panel_module, "float", wraps=float, create=True) as slow:
+            assert parsed(values).tolist() == list(map(float, values))
+        assert slow.call_count < 10
+
+    def test_read_csv_without_the_fast_path(self, tmp_path):
+        y, x, _ = random_panel(9, 40, 5, 2)
+        f = tmp_path / "p.csv"
+        f.write_text("\n".join(panel_lines(y, x)) + "\n", encoding="utf-8")
+        expected = ingest_outcome(read_csv, f)
+        with mock.patch.object(panel_module, "_FAST_DIGITS", 0), mock.patch.object(
+            panel_module, "float", wraps=float, create=True
+        ) as slow:
+            assert ingest_outcome(read_csv, f) == expected
+        assert slow.call_count == 40 * 5 * 3
+        assert expected[0] == y.tobytes()
