@@ -18,9 +18,8 @@ import codecs
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -397,12 +396,12 @@ def read_csv(path: str | Path) -> PanelData:
     byte but LF or CRLF line ends, every row as wide as the header) is read
     from its bytes in blocks of whole lines. Its values are exact, as with
     ``float``: decimals of up to 19 digits are parsed by numpy, the rest by
-    ``float``. Row order stays free, but a block sorted by unit, then by
-    period, has its labels coded from the row numbers. Any other file, and
-    any plain file that is not a valid panel, is read again from the start
-    by the ``csv`` module, streaming rows to ``validate_panel``; that path
-    alone raises data errors. The panel, and the class and message of every
-    error, do not depend on which path ran.
+    ``float``. Its labels are coded from their bytes, in any row order:
+    each distinct label of a block is decoded and stripped once. Any other
+    file, and any plain file that is not a valid panel, is read again from
+    the start by the ``csv`` module, streaming rows to ``validate_panel``;
+    that path alone raises data errors. The panel, and the class and
+    message of every error, do not depend on which path ran.
     """
     path = Path(path)
     panel = _read_plain(path)
@@ -488,39 +487,29 @@ def _read_plain(path: Path) -> PanelData | None:
     valid panel: the ``csv`` path then decides. The ``csv`` module splits
     a plain file at its commas and line ends alone, so each block's fields
     are the bytes between those separators. Its labels get the same codes
-    as ``_code_labels`` gives (``_code_runs`` finds them from the row
-    numbers in a unit-major block) and its values the same bits as
-    ``float`` (``_parse_values``).
+    as ``_code_labels`` gives, in any row order (``_label_codes``), and its
+    values the same bits as ``float`` (``_parse_values``).
     """
     unit_index: dict[str, int] = {}
     time_index: dict[str, int] = {}
     unit_codes, time_codes, values = [], [], []
-    width = 0
-    for block in _whole_line_blocks(path):
-        if block is None:
+    with path.open("rb") as fh:
+        header = fh.readline(_BLOCK_BYTES).removeprefix(codecs.BOM_UTF8)
+        width = header.count(b",") + 1
+        seps = _plain_seps(_padded(header), width) if header.endswith(b"\n") else None
+        if seps is None or not _is_header(header[: seps[0, -1] - _WINDOW].decode("utf-8").split(",")):
             return None
-        if not width:
-            block = block.removeprefix(codecs.BOM_UTF8)
-            cut = block.index(b"\n") + 1
-            seps = _plain_seps(block[:cut], block.count(b",", 0, cut) + 1)
+        for block in _whole_line_blocks(fh):
+            seps = None if block is None else _plain_seps(block, width)
             if seps is None:
                 return None
-            header = block[: seps[0, -1]].decode("utf-8").split(",")
-            if not _is_header(header):
+            units, times = _label_codes(block, seps, unit_index, time_index)
+            unit_codes.append(units)
+            time_codes.append(times)
+            parsed = _parse_values(block, seps)
+            if parsed is None:
                 return None
-            width, block = len(header), block[cut:]
-            if not block:
-                continue
-        seps = _plain_seps(block, width)
-        if seps is None:
-            return None
-        units, times = _label_codes(block, seps, unit_index, time_index)
-        unit_codes.append(units)
-        time_codes.append(times)
-        parsed = _parse_values(block, seps)
-        if parsed is None:
-            return None
-        values.append(parsed)
+            values.append(parsed)
     n, t = len(unit_index), len(time_index)
     if n < 2 or t < 2:
         return None
@@ -531,29 +520,38 @@ def _read_plain(path: Path) -> PanelData | None:
     return _assemble(values.reshape(n * t, width - 2), cell, tuple(unit_index), tuple(time_index))
 
 
-def _whole_line_blocks(path: Path) -> Iterator[bytes | None]:
-    """The file's bytes in blocks of whole lines of about ``_BLOCK_BYTES``,
-    each ending in a newline (one is added to an unterminated last line).
-    None stands for a line longer than a block and ends the blocks."""
-    with path.open("rb") as fh:
-        rest = b""
-        while chunk := fh.read(_BLOCK_BYTES):
-            cut = chunk.rfind(b"\n") + 1
-            if cut:
-                yield rest + chunk[:cut]
-                rest = chunk[cut:]
-            elif len(chunk) == _BLOCK_BYTES:
-                yield None
-                return
-            else:
-                rest += chunk
+def _padded(*parts: bytes) -> bytes:
+    """``parts`` joined between ``_WINDOW`` '0' bytes, so that each value
+    field has a full window before its end, and 8 NULs, so that each label
+    has a word from its start. Positions in a block count this padding."""
+    return b"".join((b"0" * _WINDOW, *parts, bytes(8)))
+
+
+def _whole_line_blocks(fh: BinaryIO) -> Iterator[bytes | None]:
+    """The rest of ``fh`` in ``_padded`` blocks of whole lines of about
+    ``_BLOCK_BYTES``, each ending in a newline (one is added to an
+    unterminated last line); the padding is a block's one copy. None stands
+    for a line longer than a block and ends the blocks."""
+    rest = b""
+    # reads end at multiples of a block in the file, wherever ``fh`` starts
+    while chunk := fh.read(_BLOCK_BYTES - fh.tell() % _BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield _padded(rest, memoryview(chunk)[:cut])
+            rest = chunk[cut:]
+        elif len(chunk) == _BLOCK_BYTES:
+            yield None
+            return
+        else:
+            rest += chunk
     if rest:
-        yield rest + b"\n"
+        yield _padded(rest, b"\n")
 
 
 def _plain_seps(block: bytes, width: int) -> np.ndarray | None:
     """Where each field of ``block``'s lines ends, (lines, width), if the
-    lines are plain; else None. ``block`` ends in a newline.
+    lines are plain; else None. ``block`` is ``_padded`` and its lines end
+    in a newline.
 
     A field ends at a comma, at LF or at the CR of CRLF. Plain lines are
     strict UTF-8 with no quote, no control byte but LF and the CR of CRLF
@@ -562,16 +560,28 @@ def _plain_seps(block: bytes, width: int) -> np.ndarray | None:
     than ``csv.field_size_limit()``, so no field is.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
-    # one pass finds every control byte, comma and quote
-    marked = np.flatnonzero((raw < 0x20) | (raw == 0x2C) | (raw == 0x22))
+    # one pass marks every control byte, quote and comma: all are at most
+    # 0x2C, as are the space and !#$%&'()*+, which plain lines may hold
+    marked = np.flatnonzero(raw[_WINDOW:-8] <= 0x2C) + _WINDOW
     kind = raw[marked]
-    newline, cr, comma = kind == 0x0A, kind == 0x0D, kind == 0x2C
-    ends = marked[newline]
+    sep = (kind == 0x2C) | (kind == 0x0A) | (kind == 0x0D)
+    other, marked, kind = kind[~sep], marked[sep], kind[sep]
+    cr = kind == 0x0D
+    # the LF of a CRLF ends no field: its CR, the separator before it, did
+    ends = np.ones(len(kind), dtype=bool)
+    ends[1:] = ~cr[:-1]
+    seps, kind = marked[ends], kind[ends]
+    if len(seps) % width or not (
+        ((other >= 0x20) & (other != 0x22)).all() and (raw[marked[cr] + 1] == 0x0A).all()
+    ):
+        return None
+    # each line is width - 1 commas, then its end
+    seps, kind = seps.reshape(-1, width), kind.reshape(-1, width)
+    newlines = seps[:, -1] + (kind[:, -1] == 0x0D)
     if not (
-        (newline | cr | comma).all()
-        and (raw[marked[cr] + 1] == 0x0A).all()
-        and (np.diff(np.cumsum(comma)[newline], prepend=0) == width - 1).all()
-        and (np.diff(ends, prepend=-1) - 1).max() <= csv.field_size_limit()
+        (kind[:, :-1] == 0x2C).all()
+        and (kind[:, -1] != 0x2C).all()
+        and (np.diff(newlines, prepend=_WINDOW - 1) - 1).max() <= csv.field_size_limit()
     ):
         return None
     if not block.isascii():
@@ -579,81 +589,51 @@ def _plain_seps(block: bytes, width: int) -> np.ndarray | None:
             block.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    # the LF of a CRLF ends no field: its CR, the mark before it, did
-    newline[1:] &= ~cr[:-1]
-    return marked[comma | cr | newline].reshape(-1, width)
+    return seps
 
 
 def _label_codes(
     block: bytes, seps: np.ndarray, unit_index: dict[str, int], time_index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_code_labels`` of the unit and of the time fields of ``block``'s lines.
-
-    Only the bytes of each line up to its second comma are decoded, as one
-    string for the block, and split at the commas.
-    """
-    raw = np.frombuffer(block, dtype=np.uint8)
+    """``_code_labels`` of the unit and of the time fields of ``block``'s lines."""
     line_end = seps[:-1, -1]
-    starts = np.zeros(len(seps), dtype=np.intp)
-    starts[1:] = line_end + 1 + (raw[line_end] == 0x0D)
-    lengths = seps[:, 1] + 1 - starts
-    at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    fields = raw[at].tobytes().decode("utf-8").split(",")
-    units, times = fields[0:-1:2], fields[1:-1:2]
-    return _code_runs(units, times, unit_index, time_index) or (
-        _code_labels(units, unit_index),
-        _code_labels(times, time_index),
+    starts = np.empty(len(seps), dtype=np.intp)
+    starts[0] = _WINDOW
+    starts[1:] = line_end + 1 + (np.frombuffer(block, dtype=np.uint8)[line_end] == 0x0D)
+    return (
+        _code_fields(block, starts, seps[:, 0], unit_index),
+        _code_fields(block, seps[:, 0] + 1, seps[:, 1], time_index),
     )
 
 
-def _code_runs(
-    units: list[str], times: list[str], unit_index: dict[str, int], time_index: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_code_labels`` of a unit-major block's unit and time labels, found
-    from the row numbers; None if the block is not unit-major.
-
-    Unit-major: the times cycle through the known periods, or, in the
-    first block, through its first run of distinct labels, and the units
-    come in runs that change with each cycle. Each run's label is new and
-    distinct, but for a run that continues the last block's unit. Labels
-    are compared as read: a label that ``str.strip`` would change is not
-    known, so its block is not unit-major.
-    """
-    rows = len(times)
-    periods = list(time_index)
-    phase = time_index.get(times[0])
-    if not periods:
-        try:
-            periods = times[: times.index(times[0], 1)]
-        except ValueError:
-            return None  # no full cycle to learn the periods from
-        if len(set(periods)) < len(periods) or list(map(str.strip, periods)) != periods:
-            return None
-        phase = 0
-    if phase is None:
-        return None
-    t = len(periods)
-    if times != (periods * (rows // t + 2))[phase : phase + rows]:
-        return None
-    runs = units[0:1] + units[t - phase :: t] if phase else units[::t]
-    if units != list(chain.from_iterable(repeat(u, t) for u in runs))[phase : phase + rows]:
-        return None
-    new = runs[1:] if phase else runs
-    if (
-        (phase and runs[0] not in unit_index)
-        or not unit_index.keys().isdisjoint(new)
-        or len(set(new)) < len(new)
-        or list(map(str.strip, new)) != new
-    ):
-        return None
-    row = phase + np.arange(rows)
-    unit_codes = row // t + (len(unit_index) - bool(phase))
-    if phase:
-        unit_codes[: t - phase] = unit_index[runs[0]]
-    if not time_index:
-        time_index.update(zip(periods, range(t)))
-    unit_index.update(zip(new, count(len(unit_index))))
-    return unit_codes, row % t
+def _code_fields(block: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """``_code_labels`` of the fields ``block[starts[r]:ends[r]]``, in any
+    order: each distinct field is decoded and stripped once, in order of
+    first appearance."""
+    lengths = ends - starts
+    # A key per field: its bytes as little-endian words, those past its end
+    # zeroed. No plain line holds a NUL, so fields with equal keys are equal.
+    words = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
+    n_words = max(-(-int(lengths.max()) // 8), 1)
+    keys = np.empty((len(starts), n_words), dtype=np.uint64)
+    for j in range(n_words):
+        # a word past the block's end is masked out whole
+        at = np.minimum(starts + 8 * j, len(words) - 1)
+        keys[:, j] = words[at] & _LOW_BYTES[np.clip(lengths - 8 * j, 0, 8)]
+    keys = keys[:, 0] if n_words == 1 else keys.view(f"S{8 * n_words}")[:, 0]
+    # only the first field of each run of equal keys is looked up
+    is_head = np.concatenate(([True], keys[1:] != keys[:-1]))
+    head = np.flatnonzero(is_head)
+    _, first, inverse = np.unique(keys[head], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    at = head[first[order]]
+    spans = map(slice, starts[at].tolist(), ends[at].tolist())
+    # no plain line holds a newline; splitlines would also split at U+2028
+    labels = b"\n".join(map(block.__getitem__, spans)).decode("utf-8").split("\n")
+    codes = np.empty(len(order), dtype=np.intp)
+    # strip can make two keys one label, and setdefault gives them one code
+    codes[order] = [index.setdefault(label.strip(), len(index)) for label in labels]
+    return codes[inverse][np.cumsum(is_head) - 1]
 
 
 # Fields of the form -?D+(.D*)? or -?.D+ with 1 to _FAST_DIGITS digits
@@ -680,18 +660,17 @@ def _parse_values(block: bytes, seps: np.ndarray) -> np.ndarray | None:
     """``float`` of the value fields of ``block``'s lines, whose fields end
     at ``seps``, line by line; or None if one of them does not parse."""
     starts, ends = (seps[:, 1:-1] + 1).ravel(), seps[:, 2:].ravel()
-    padded = np.frombuffer(b"0" * _WINDOW + block, dtype=np.uint8)
-    # windows[e] is the _WINDOW bytes before block[e], zeros before the block
-    windows = np.lib.stride_tricks.sliding_window_view(padded, _WINDOW)
+    raw = np.frombuffer(block, dtype=np.uint8)
+    # windows[e - _WINDOW] is the _WINDOW bytes before block[e], all inside
+    # the padded block
+    windows = np.ndarray((len(block) - _WINDOW + 1,), dtype=f"V{_WINDOW}", buffer=block, strides=(1,))
     out = np.empty(len(starts))
     fast = np.empty(len(starts), dtype=bool)
     for lo in range(0, len(starts), _CHUNK):
         s, e = starts[lo : lo + _CHUNK], ends[lo : lo + _CHUNK]
         # the three words of each field's window, one row each
-        words = np.ascontiguousarray(windows[e].view("<u8").T)
-        out[lo : lo + len(s)], fast[lo : lo + len(s)] = _exact_values(
-            words, e - s, padded[s + _WINDOW] == 0x2D
-        )
+        words = np.ascontiguousarray(windows[e - _WINDOW].view("<u8").reshape(-1, 3).T)
+        out[lo : lo + len(s)], fast[lo : lo + len(s)] = _exact_values(words, e - s, raw[s] == 0x2D)
     slow = np.flatnonzero(~fast)
     if len(slow):
         # the value fields of the lines that hold one, from one split

@@ -222,6 +222,36 @@ def literal_validate_panel(records):
     return PanelData(y=y, x=x, unit_labels=tuple(units), time_labels=tuple(times))
 
 
+def literal_plain_seps(block: bytes, width: int) -> list[list[int]] | None:
+    """Where each field of ``block``'s lines ends, line by line, if all of
+    them are plain; else None. ``block`` ends in a newline.
+
+    Each line is checked alone: at most ``csv.field_size_limit()`` bytes
+    before its LF, no quote, no control byte but a CR just before the LF,
+    and ``width - 1`` commas. The block must be UTF-8. A field ends at a
+    comma or at the line's end: its CR if it has one, else its LF.
+    """
+    import csv
+
+    try:
+        block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    seps, start = [], 0
+    for line in block.split(b"\n")[:-1]:
+        body = line[:-1] if line.endswith(b"\r") else line
+        if (
+            len(line) > csv.field_size_limit()
+            or b'"' in body
+            or any(byte < 0x20 for byte in body)
+            or body.count(b",") != width - 1
+        ):
+            return None
+        seps.append([start + i for i, byte in enumerate(body) if byte == 0x2C] + [start + len(body)])
+        start += len(line) + 1
+    return seps
+
+
 def batched_capacitance_loo(dp, kappa):
     """``gram.loo_two_way`` with every subsample's T x T capacitance built.
 

@@ -28,7 +28,12 @@ from panelmg import (
     validate_panel,
 )
 import panelmg.panel as panel_module
-from oracles import literal_validate_panel, projection_double_demean, random_panel
+from oracles import (
+    literal_plain_seps,
+    literal_validate_panel,
+    projection_double_demean,
+    random_panel,
+)
 
 
 def make_panel(seed=0, n=6, t=5, k=2):
@@ -647,29 +652,18 @@ class TestPlainReader:
         assert p.y.shape == (10000, 10)
         assert peak < 4 * f.stat().st_size
 
-    @pytest.fixture
-    def run_spy(self):
-        """Counts the blocks ``_code_runs`` coded and the ones it left."""
-        seen = {"runs": 0, "left": 0}
-        code_runs = panel_module._code_runs
-
-        def spy(*args):
-            codes = code_runs(*args)
-            seen["left" if codes is None else "runs"] += 1
-            return codes
-
-        with mock.patch.object(panel_module, "_code_runs", spy):
-            yield seen
-
     @pytest.mark.parametrize(
         "layout",
         ["unit-major", "time-major", "shuffled", "padded-head", "padded-unit",
-         "unit-back", "duplicate", "long-period", "crlf"],
+         "unit-back", "duplicate", "long-period", "crlf", "line-separators"],
     )
-    def test_run_coding_against_label_coding(self, tmp_path, run_spy, layout):
+    def test_any_row_order_reads_like_streamed(self, tmp_path, layout):
         t = 12 if layout == "long-period" else 4
         y, x, _ = random_panel(8, 9, t, 1)
-        lines = panel_lines(y, x)
+        units = None
+        if layout == "line-separators":  # str.splitlines would split these
+            units = [f"u\u2028{i}" if i % 2 else f"\x85u{i}\u2028" for i in range(9)]
+        lines = panel_lines(y, x, units)
         header, rows = lines[0], lines[1:]
         rng = np.random.default_rng(3)
         if layout == "time-major":
@@ -690,8 +684,6 @@ class TestPlainReader:
         expected = ingest_outcome(streamed, f)
         # blocks of about four lines, so most start in the middle of a unit
         with mock.patch.object(panel_module, "_BLOCK_BYTES", 4 * len(rows[0])):
-            with mock.patch.object(panel_module, "_code_runs", return_value=None):
-                assert ingest_outcome(read_csv, f) == expected
             if layout == "duplicate":
                 assert ingest_outcome(read_csv, f) == expected
             else:
@@ -701,10 +693,8 @@ class TestPlainReader:
             assert expected[0] is DuplicateCell
         else:
             assert len(expected) == 4  # a panel
-        if layout in ("unit-major", "crlf", "long-period", "padded-head", "padded-unit"):
-            assert run_spy["runs"] > run_spy["left"]
-        else:
-            assert run_spy["left"] > 0
+        if layout == "line-separators":
+            assert expected[2] == tuple(u.strip() for u in units)
 
     def test_one_block_peak_memory(self, tmp_path):
         # Bounded by the tracemalloc peak of the reader before values were
@@ -723,12 +713,25 @@ class TestPlainReader:
         assert peak < 6_695_603
 
 
+# Labels a plain line may hold: short and long, multibyte, empty, and
+# ones that strip to one another or hold a line separator.
+LABELS = st.one_of(
+    st.sampled_from(
+        ["a", " a", "a ", "\xa0a", "a\u2028", "\x85a", "", " ", "u1", "2020-01-01",
+         "country_00123", "country_00123 ", "é", "日本語のラベル", "a\u2028b"]
+    ),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=',"'), max_size=20),
+)
+
+
 @st.composite
 def label_blocks(draw):
-    """Blocks of (unit, time) label rows: unit-major, time-major or
+    """Blocks of (unit, time) rows of ``LABELS``: unit-major, time-major or
     shuffled, with padded, repeated or dropped rows."""
-    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    rows = [(f"u{i}", f"t{s}") for i in range(n) for s in range(t)]
+    units = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    times = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    n, t = len(units), len(times)
+    rows = [(u, s) for u in units for s in times]
     order = draw(st.sampled_from(["unit-major", "time-major", "shuffled"]))
     if order == "time-major":
         rows = [rows[i * t + s] for s in range(t) for i in range(n)]
@@ -748,55 +751,106 @@ def label_blocks(draw):
     return [rows[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-class TestCodeRuns:
-    """``_code_runs`` against ``_code_labels``, block after block."""
+def label_coded(blocks):
+    """The codes and indexes the plain reader's label coder gives the
+    (unit, time) rows of each block in turn, and those of ``_code_labels``."""
+    by_bytes, by_labels = ({}, {}), ({}, {})
+    got, expected = [], []
+    for rows in blocks:
+        block = panel_module._padded("".join(f"{u},{s},0\n" for u, s in rows).encode())
+        seps = panel_module._plain_seps(block, 3)
+        assert seps is not None
+        got.append([c.tolist() for c in panel_module._label_codes(block, seps, *by_bytes)])
+        expected.append([panel_module._code_labels(c, i).tolist() for c, i in zip(zip(*rows), by_labels)])
+    return (got, [list(i) for i in by_bytes]), (expected, [list(i) for i in by_labels])
+
+
+class TestLabelCodes:
+    """The plain reader's label coder against ``_code_labels``, block after
+    block: the same codes, and each index in the same order."""
 
     @settings(max_examples=400, deadline=None)
     @given(label_blocks())
+    @example([[("a", "1"), (" a", "2"), ("a ", "1")], [("\xa0a", "2"), ("b", " 1")]])
+    @example([[("country_00123", "2020-01-01"), ("country_00123 ", "2020-01-02")], [("", "2020-01-01")]])
     def test_same_codes_and_labels(self, blocks):
-        by_runs, by_labels = ({}, {}), ({}, {})
-        for block in blocks:
-            units, times = [u for u, _ in block], [s for _, s in block]
-            codes = panel_module._code_runs(units, times, *by_runs)
-            if codes is None:
-                codes = [panel_module._code_labels(c, i) for c, i in zip((units, times), by_runs)]
-            expected = [panel_module._code_labels(c, i) for c, i in zip((units, times), by_labels)]
-            assert [list(c) for c in codes] == [list(c) for c in expected]
-            assert [list(i.items()) for i in by_runs] == [list(i.items()) for i in by_labels]
-
-    def test_unit_major_block_is_run_coded(self):
-        unit_index, time_index = {}, {}
-        units, times = ["a", "a", "a", "b", "b", "b", "c"], ["1", "2", "3"] * 2 + ["1"]
-        unit_codes, time_codes = panel_module._code_runs(units, times, unit_index, time_index)
-        assert unit_codes.tolist() == [0, 0, 0, 1, 1, 1, 2]
-        assert time_codes.tolist() == [0, 1, 2, 0, 1, 2, 0]
-        # the next block continues unit c in the middle of its cycle
-        unit_codes, time_codes = panel_module._code_runs(
-            ["c", "c", "d"], ["2", "3", "1"], unit_index, time_index
-        )
-        assert unit_codes.tolist() == [2, 2, 3] and time_codes.tolist() == [1, 2, 0]
-        assert list(unit_index) == ["a", "b", "c", "d"] and list(time_index) == ["1", "2", "3"]
+        got, expected = label_coded(blocks)
+        assert got == expected
 
     @pytest.mark.parametrize(
         "units,times",
         [
-            (["a", "a", "b"], ["1", "2", "3"]),  # no full cycle in a first block
+            (["a", "a", "b"], ["1", "2", "3"]),  # no full cycle
             (["a", "b", "a", "b"], ["1", "1", "2", "2"]),  # time-major
             ([" a", " a", "b", "b"], ["1", "2", "1", "2"]),  # a padded head
             (["a", "a", "b", "b"], ["1", " 2", "1", " 2"]),  # a padded period
             (["a", "a", "a", "a"], ["1", "2", "1", "2"]),  # a head that is not new
             (["a", "a", "b", "b"], ["1", "1", "1", "1"]),  # a repeated period
+            # long labels that strip to one, and one a line separator ends
+            (["country_00123", "country_00123 ", "\xa0country_00123", "b\u2028"], ["2020-01-01"] * 4),
         ],
     )
-    def test_other_first_blocks_are_left_to_label_coding(self, units, times):
-        unit_index, time_index = {}, {}
-        assert panel_module._code_runs(units, times, unit_index, time_index) is None
-        assert unit_index == {} and time_index == {}
+    def test_one_block(self, units, times):
+        got, expected = label_coded([list(zip(units, times))])
+        assert got == expected
+
+    def test_codes_continue_across_blocks(self):
+        units, times = ["a", "a", "a", "b", "b", "b", "c"], ["1", "2", "3"] * 2 + ["1"]
+        got, expected = label_coded([list(zip(units, times)), [("c", "2"), ("c", "3"), ("d", "1")]])
+        assert got == expected
+        assert got[0] == [[[0, 0, 0, 1, 1, 1, 2], [0, 1, 2, 0, 1, 2, 0]], [[2, 2, 3], [1, 2, 0]]]
+        assert got[1] == [["a", "b", "c", "d"], ["1", "2", "3"]]
+
+
+# bytes of a field, plain or not; plain ones more often
+SEPARATOR_FIELDS = st.lists(
+    st.sampled_from(
+        [b"a", b"7", b".", b"-", b" ", b"!", b"#", b"+", "é".encode(), "\u2028".encode()] * 3
+        + [b'"', b"\x00", b"\t", b"\r", b"\xff"]
+    ),
+    max_size=4,
+).map(b"".join)
+
+
+@st.composite
+def separator_blocks(draw):
+    """A block of lines and the width its lines should have: ragged comma
+    counts, bytes plain lines may or may not hold, LF or CRLF ends, and
+    lines just within and just past ``csv.field_size_limit()``."""
+    width = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_fields = draw(st.sampled_from([width, width, width, max(width - 1, 1), width + 1]))
+        line = b",".join(draw(SEPARATOR_FIELDS) for _ in range(n_fields))
+        eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+        if draw(st.integers(0, 9)) == 0:  # as long as the limit, one less or one more
+            line += b" " * max(csv.field_size_limit() + draw(st.integers(-1, 1)) - len(line + eol) + 1, 0)
+        lines.append(line + eol)
+    return b"".join(lines), width
+
+
+class TestPlainSeps:
+    """``_plain_seps`` against a line-by-line scan in plain Python bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(separator_blocks())
+    @example((b"a,b\r\nc,d\n", 2))
+    @example((b"a,b\rc,d\n", 2))
+    @example((b"a,b,c\nd\n", 2))
+    @example((b"a," + b" " * (csv.field_size_limit() - 3) + b"\r\n", 2))
+    @example((b"a," + b" " * (csv.field_size_limit() - 1) + b"\n", 2))
+    def test_same_plainness_and_positions(self, case):
+        block, width = case
+        got = panel_module._plain_seps(panel_module._padded(block), width)
+        expected = literal_plain_seps(block, width)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert (got - panel_module._WINDOW).tolist() == expected
 
 
 def parsed(strings):
     """``panel._parse_values`` of ``strings`` as the values of one line."""
-    block = (",".join(["u", "t", *strings]) + "\n").encode()
+    block = panel_module._padded((",".join(["u", "t", *strings]) + "\n").encode())
     raw = np.frombuffer(block, dtype=np.uint8)
     return panel_module._parse_values(block, np.flatnonzero((raw == 0x2C) | (raw == 0x0A))[None])
 
